@@ -36,9 +36,9 @@ from .evolution import (
     evolution_closed_form,
     evolution_oracle,
     hamiltonian,
-    hamiltonian_normalized,
     normalize_fields,
     params_from_bj,
+    spectrum,
 )
 from .linalg import hermitian_eigenvalues, partial_trace, trace_norm
 from .optimize import (
@@ -80,11 +80,11 @@ __all__ = [
     "computational_povm", "critical_fidelities", "abd_decompose",
     "evolution_closed_form", "evolution_oracle", "f1", "f2", "f_ab",
     "f_dr1", "f_n", "f_n_mix", "f_so", "fidelity_overlap",
-    "gaussian_mixed_state", "hamiltonian", "hamiltonian_normalized",
-    "helstrom", "hermitian_eigenvalues", "initial_pair", "normalize_fields",
+    "gaussian_mixed_state", "hamiltonian", "helstrom",
+    "hermitian_eigenvalues", "initial_pair", "normalize_fields",
     "optimize_fdr2", "params_from_bj", "partial_trace", "plan_situation1",
     "plan_situation2", "povm_states", "quadrature_oracle", "run_verify",
-    "schmidt", "schmidt_closed_form", "table1_povm", "trace_distance",
-    "trace_norm", "unwrap_arctan", "witness_table", "witness_value",
-    "zero_field_objective", "zero_field_stationary_values",
+    "schmidt", "schmidt_closed_form", "spectrum", "table1_povm",
+    "trace_distance", "trace_norm", "unwrap_arctan", "witness_table",
+    "witness_value", "zero_field_objective", "zero_field_stationary_values",
 ]

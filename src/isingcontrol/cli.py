@@ -15,7 +15,9 @@ error, 3 a grid cell failed numerically (its value is emitted as ``nan``).
 from __future__ import annotations
 
 import argparse
+import ast
 import math
+import operator
 import sys
 
 from . import sweeps
@@ -31,6 +33,23 @@ from .states import initial_pair
 from .verify import run_verify
 
 _NUMBER_CHARS = set("0123456789.+-*/() epi")
+_CONSTANTS = {"pi": math.pi, "e": math.e}
+_OPERATORS = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul,
+              ast.Div: operator.truediv, ast.UAdd: operator.pos, ast.USub: operator.neg}
+
+
+def _arithmetic(node: ast.AST) -> float:
+    """Evaluate numbers, pi, e, binary + - * / and unary +/-; reject the rest."""
+    if isinstance(node, ast.Constant) and type(node.value) in (int, float):
+        return node.value
+    if isinstance(node, ast.Name) and node.id in _CONSTANTS:
+        return _CONSTANTS[node.id]
+    op = _OPERATORS.get(type(getattr(node, "op", None)))
+    if isinstance(node, ast.BinOp) and op:
+        return op(_arithmetic(node.left), _arithmetic(node.right))
+    if isinstance(node, ast.UnaryOp) and op:
+        return op(_arithmetic(node.operand))
+    raise ValueError(f"unsupported syntax {type(getattr(node, 'op', node)).__name__}")
 
 
 def parse_number(text: str) -> float:
@@ -38,7 +57,7 @@ def parse_number(text: str) -> float:
     if not set(text) <= _NUMBER_CHARS:
         raise argparse.ArgumentTypeError(f"cannot parse number {text!r}")
     try:
-        return float(eval(text, {"__builtins__": {}}, {"pi": math.pi, "e": math.e}))
+        return float(_arithmetic(ast.parse(text.strip(), mode="eval").body))
     except Exception as exc:
         raise argparse.ArgumentTypeError(f"cannot parse number {text!r}: {exc}") from None
 
@@ -60,13 +79,13 @@ def parse_fix(text: str) -> tuple[str, float]:
     return name, parse_number(value)
 
 
-_CONFIG_OPTION_KEYS = ("mode", "threads", "steps", "scheme")
+_CONFIG_OPTION_KEYS = ("mode", "steps", "scheme")
 
 
 def read_config(path: str | None) -> dict:
     """Optional key=value config file; '#' comments and blank lines ignored.
 
-    Recognized option keys: mode, threads, steps, scheme; everything else
+    Recognized option keys: mode, steps, scheme; everything else
     is a fixed sweep parameter.  Precedence is always
     command-line flag > config value > built-in preset value.
     """
@@ -132,7 +151,6 @@ def _cmd_surface(args) -> int:
         axis2=args.axis2,
         fixed=fixed,
         mode=_pick(args.mode, config, "mode", "as-printed"),
-        threads=_pick(args.threads, config, "threads", 1, int),
     )
     return _emit_sweep(sweeps.run_sweep(spec), args.out)
 
@@ -181,7 +199,6 @@ def _cmd_figure3(args) -> int:
     config = read_config(args.config)
     spec = sweeps.figure3_spec(
         steps=_pick(args.steps, config, "steps", 50, int),
-        threads=_pick(args.threads, config, "threads", 1, int),
         overrides=_config_fixed(config),
     )
     return _emit_sweep(sweeps.run_sweep(spec), args.out)
@@ -191,7 +208,6 @@ def _cmd_figure4(args) -> int:
     config = read_config(args.config)
     result = sweeps.figure4_run(
         steps=_pick(args.steps, config, "steps", 25, int),
-        threads=_pick(args.threads, config, "threads", 1, int),
         overrides=_config_fixed(config),
     )
     sys.stderr.write(
@@ -210,7 +226,6 @@ def _cmd_figure5(which: str, args) -> int:
         which,
         scheme=_pick(args.scheme, config, "scheme", "n-mix"),
         theta_steps=_pick(args.steps, config, "steps", 25, int),
-        threads=_pick(args.threads, config, "threads", 1, int),
         overrides=_config_fixed(config),
     )
     return _emit_sweep(sweeps.run_sweep(spec), args.out)
@@ -232,7 +247,6 @@ def build_parser() -> argparse.ArgumentParser:
     surface.add_argument("--mode", default=None,
                          choices=["as-printed", "reprepare-originals"])
     surface.add_argument("--out", default=None, help="output path (default stdout)")
-    surface.add_argument("--threads", type=int, default=None)
     surface.add_argument("--config", default=None,
                          help="key=value file; flags beat it, it beats presets")
     surface.set_defaults(fn=_cmd_surface)
@@ -268,7 +282,6 @@ def build_parser() -> argparse.ArgumentParser:
         fig = sub.add_parser(name, help=helptext)
         fig.add_argument("--steps", type=int, default=None)
         fig.add_argument("--out", default=None)
-        fig.add_argument("--threads", type=int, default=None)
         fig.add_argument("--config", default=None)
         fig.set_defaults(fn=_cmd_figure3 if name == "figure3" else _cmd_figure4)
 
@@ -278,7 +291,6 @@ def build_parser() -> argparse.ArgumentParser:
         fig.add_argument("--scheme", default=None, choices=["n-mix", "f1", "f2"])
         fig.add_argument("--steps", type=int, default=None, help="theta steps")
         fig.add_argument("--out", default=None)
-        fig.add_argument("--threads", type=int, default=None)
         fig.add_argument("--config", default=None)
         fig.set_defaults(fn=lambda args, _w=which: _cmd_figure5(_w, args))
 

@@ -31,7 +31,7 @@ from .evolution import (
     IsingParams,
     PhysicalFields,
     evolution_closed_form,
-    evolution_oracle,
+    normalize_fields,
 )
 from .linalg import dag
 
@@ -209,7 +209,7 @@ def situation2_composite(plan: Situation2Plan, fields: PhysicalFields, t: float)
     if fields != plan.fields or t != plan.t:
         raise ValueError("plan was built for different fields or distortion time")
     correction = local_propagator(plan.b_plus_prime, plan.b_minus_prime, plan.duration)
-    return correction @ evolution_oracle(fields, t)
+    return correction @ evolution_closed_form(normalize_fields(fields), fields.scale * t)
 
 
 def apply_situation2(plan: Situation2Plan, fields: PhysicalFields, t: float,

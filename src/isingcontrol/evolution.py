@@ -24,6 +24,7 @@ sweep it well beyond that range, so only the b-/j constraint is enforced.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -116,9 +117,10 @@ def normalize_fields(fields: PhysicalFields) -> IsingParams:
     )
 
 
-def hamiltonian(fields: PhysicalFields) -> np.ndarray:
-    """4x4 Hamiltonian matrix of the physical model in the computational basis."""
-    bp, bm, j = fields.b_plus, fields.b_minus, fields.j
+def hamiltonian(m: PhysicalFields | IsingParams) -> np.ndarray:
+    """4x4 Hamiltonian matrix in the computational basis; for ``IsingParams``
+    it is in units of R and generates the dynamics in rescaled time."""
+    bp, bm, j = m.b_plus, m.b_minus, m.j
     return np.array([
         [bp - j, 0.0, 0.0, 0.0],
         [0.0, j + bm, -2.0 * j, 0.0],
@@ -127,14 +129,23 @@ def hamiltonian(fields: PhysicalFields) -> np.ndarray:
     ], dtype=complex)
 
 
-def hamiltonian_normalized(p: IsingParams) -> np.ndarray:
-    """Hamiltonian in units of R; generates the dynamics in rescaled time."""
-    return np.array([
-        [p.b_plus - p.j, 0.0, 0.0, 0.0],
-        [0.0, p.j + p.b_minus, -2.0 * p.j, 0.0],
-        [0.0, -2.0 * p.j, p.j - p.b_minus, 0.0],
-        [0.0, 0.0, 0.0, -(p.b_plus + p.j)],
-    ], dtype=complex)
+def spectrum(m: PhysicalFields | IsingParams) -> tuple[np.ndarray, np.ndarray]:
+    """Closed-form eigensystem (energies, real orthonormal column vectors)
+    of :func:`hamiltonian`.
+
+    |00> and |11> have energies b+ - j and -(b+ + j).  The middle block is
+    j I + R [[cos a, -sin a], [-sin a, -cos a]] with R = hypot(b-, 2j) (1 for
+    ``IsingParams``) and a = atan2(2j, b-): energies j + R and j - R with
+    the rotation columns (cos a/2, -sin a/2) and (sin a/2, cos a/2).
+    """
+    bp, bm, j = m.b_plus, m.b_minus, m.j
+    r = math.hypot(bm, 2.0 * j)
+    half = 0.5 * math.atan2(2.0 * j, bm)
+    c, s = math.cos(half), math.sin(half)
+    energies = np.array([bp - j, j + r, j - r, -(bp + j)])
+    vectors = np.eye(4)
+    vectors[1:3, 1:3] = [[c, s], [-s, c]]
+    return energies, vectors
 
 
 def evolution_closed_form(p: IsingParams, t: float) -> np.ndarray:

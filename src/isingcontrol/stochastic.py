@@ -7,8 +7,9 @@ the interaction is the Gaussian average of the unitary orbit,
 
 which in the energy eigenbasis of H is pure dephasing: the (k, l) matrix
 element picks up exp(-i w t0 - w^2 s^2 / 2) with w = E_k - E_l.
-:func:`dephase` evaluates that analytically; :func:`quadrature_oracle`
-recomputes it by Gauss-Hermite quadrature as an independent check.
+:func:`dephase` evaluates that analytically in the closed-form eigensystem
+of :func:`evolution.spectrum`; :func:`quadrature_oracle` recomputes it by
+Gauss-Hermite quadrature as an independent check.
 
 The integration range is the whole real line, which physically presumes
 t0/s >> 1; ``GaussianTime`` accepts any ratio but flags models below
@@ -40,11 +41,12 @@ from .evolution import (
     IsingParams,
     PhysicalFields,
     evolution_closed_form,
-    hamiltonian,
-    hamiltonian_normalized,
+    normalize_fields,
+    params_from_bj,
+    spectrum,
 )
 from .linalg import dag, projector
-from .states import bell, initial_pair, witness_value
+from .states import initial_pair, witness_value
 
 MODEL_VALIDITY_RATIO = 3.0
 FNMIX_CROSSCHECK_TOL = 1e-9
@@ -78,15 +80,16 @@ class GaussianTime:
         return self.ratio >= MODEL_VALIDITY_RATIO
 
 
-def dephase(rho: np.ndarray, h: np.ndarray, t0: float, s: float) -> np.ndarray:
-    """Gaussian-averaged evolution of rho under Hamiltonian h.
+def dephase(rho: np.ndarray, eigensystem: tuple, t0: float, s: float) -> np.ndarray:
+    """Gaussian-averaged evolution of rho; ``eigensystem`` is the Hamiltonian's
+    (energies, orthonormal column vectors), as from :func:`evolution.spectrum`.
 
     Exact: with U(t) = sum_k e^{-i E_k t} P_k, the average is
     sum_{k,l} P_k rho P_l e^{-i (E_k - E_l) t0 - (E_k - E_l)^2 s^2 / 2}.
     Degenerate pairs have zero frequency difference and are untouched,
     which is the correct limit of the integral.
     """
-    energies, vectors = np.linalg.eigh(np.asarray(h, dtype=complex))
+    energies, vectors = eigensystem
     rot = dag(vectors) @ np.asarray(rho, dtype=complex) @ vectors
     w = energies[:, None] - energies[None, :]
     rot = rot * np.exp(-1j * w * t0 - 0.5 * (w * s) ** 2)
@@ -95,7 +98,7 @@ def dephase(rho: np.ndarray, h: np.ndarray, t0: float, s: float) -> np.ndarray:
 
 def gaussian_mixed_state(rho: np.ndarray, p: IsingParams, g: GaussianTime) -> np.ndarray:
     """Mixed state after a Gaussian-duration distortion (rescaled time units)."""
-    return dephase(rho, hamiltonian_normalized(p), g.t0, g.s)
+    return dephase(rho, spectrum(p), g.t0, g.s)
 
 
 def quadrature_oracle(rho: np.ndarray, p: IsingParams, g: GaussianTime,
@@ -161,23 +164,24 @@ def witness_table_numeric(theta: float, p: IsingParams, g: GaussianTime) -> dict
             for state, rho in mixed.items() for i in (0, 1) for j in (0, 1)}
 
 
-def _mixed_pair(theta: float, p: IsingParams, g: GaussianTime):
-    beta1, beta2 = initial_pair(theta)
-    return (projector(beta1), projector(beta2),
-            gaussian_mixed_state(projector(beta1), p, g),
-            gaussian_mixed_state(projector(beta2), p, g))
-
-
-def _pair_fidelity(rho1, rho2, rho1c, rho2c) -> float:
-    """No-measurement average fidelity (Tr rho1 rho1'' + Tr rho2 rho2'')/2."""
-    return 0.5 * float(np.trace(rho1 @ rho1c).real + np.trace(rho2 @ rho2c).real)
+def _mixed_fidelity(theta: float, model: IsingParams | PhysicalFields, t0: float,
+                    s: float, u: np.ndarray | None = None) -> float:
+    """No-measurement average fidelity (Tr rho1 rho1'' + Tr rho2 rho2'')/2 of
+    the pair dephased under the model's spectrum and then corrected by u."""
+    eigensystem = spectrum(model)
+    total = 0.0
+    for beta in initial_pair(theta):
+        rho = projector(beta)
+        mixed = dephase(rho, eigensystem, t0, s)
+        if u is not None:
+            mixed = u @ mixed @ dag(u)
+        total += np.trace(rho @ mixed).real
+    return 0.5 * float(total)
 
 
 def f_n_mix_pipeline(theta: float, b_plus: float, j: float, t0: float, s: float) -> float:
-    from .evolution import params_from_bj
-    p = params_from_bj(b_plus, j)
-    rho1, rho2, rho1m, rho2m = _mixed_pair(theta, p, GaussianTime(t0, s))
-    return _pair_fidelity(rho1, rho2, rho1m, rho2m)
+    g = GaussianTime(t0, s)
+    return _mixed_fidelity(theta, params_from_bj(b_plus, j), g.t0, g.s)
 
 
 def f_n_mix(theta: float, b_plus: float, j: float, t0: float, s: float) -> float:
@@ -228,8 +232,8 @@ def f1(theta: float, p: IsingParams, t0: float, s: float, n: int, m: int) -> flo
     corrected = IsingParams(b_plus=p.b_plus + plan.delta_b_plus,
                             b_minus=p.b_minus, j=p.j, scale=p.scale)
     u = evolution_closed_form(corrected, plan.duration)
-    rho1, rho2, rho1m, rho2m = _mixed_pair(theta, p, GaussianTime(t0, s))
-    return _pair_fidelity(rho1, rho2, u @ rho1m @ dag(u), u @ rho2m @ dag(u))
+    g = GaussianTime(t0, s)
+    return _mixed_fidelity(theta, p, g.t0, g.s, u)
 
 
 def f1_printed(theta: float, b_plus: float, j: float, t0: float, s: float, n: int) -> float:
@@ -261,12 +265,7 @@ def f2(theta: float, fields: PhysicalFields, t0: float, s: float,
     """
     plan = plan_situation2(t0, fields, duration, n, m)
     u = local_propagator(plan.b_plus_prime, plan.b_minus_prime, plan.duration)
-    beta1, beta2 = initial_pair(theta)
-    h = hamiltonian(fields)
-    rho1, rho2 = projector(beta1), projector(beta2)
-    rho1m = dephase(rho1, h, t0, s)
-    rho2m = dephase(rho2, h, t0, s)
-    return _pair_fidelity(rho1, rho2, u @ rho1m @ dag(u), u @ rho2m @ dag(u))
+    return _mixed_fidelity(theta, fields, t0, s, u)
 
 
 def f2_printed(theta: float, fields: PhysicalFields, t0: float, s: float,
@@ -276,10 +275,8 @@ def f2_printed(theta: float, fields: PhysicalFields, t0: float, s: float,
     misprint, the phase Delta is defined as phi + phi' there, and the cos
     argument carries no t0; do not use for results).
     """
-    r = fields.scale
-    if r == 0:
-        raise ValueError("degenerate fields")
-    b_plus, b_minus, j = fields.b_plus / r, fields.b_minus / r, fields.j / r
+    p = normalize_fields(fields)
+    b_plus, b_minus, j = p.b_plus, p.b_minus, p.j
     plan = plan_situation2(t0, fields, 1.0, n, m)
     delta = plan.phi + plan.phi_prime
     c2 = math.cos(theta) ** 2
@@ -343,8 +340,3 @@ def abd_reconstruct(coeffs: AbdCoefficients, theta: float) -> float:
     c2 = math.cos(theta) ** 2
     s2 = math.sin(theta) ** 2
     return 0.25 * (coeffs.a * (1.0 + c2 * c2) + coeffs.g * c2 * s2 + coeffs.d * s2 * s2)
-
-
-def bell_projector(i: int, j: int) -> np.ndarray:
-    """Projector onto the Bell state beta_ij (witness building block)."""
-    return projector(bell(i, j))

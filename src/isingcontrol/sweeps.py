@@ -3,13 +3,11 @@
 A sweep evaluates one scheme over a two-axis grid with the remaining
 parameters fixed, and serializes ``axis1,axis2,value`` rows in row-major
 order with 12 significant digits.  Cell failures become ``nan`` cells and
-are reported, never raised mid-sweep.  Evaluation may fan out over a
-thread pool; ordering of the output never depends on it.
+are reported, never raised mid-sweep.
 """
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -25,6 +23,7 @@ FIGURE_J = 1.0 / 6.0
 FIGURE_T = math.pi / 2.0
 FIGURE_B_PLUS = 1.0
 FIGURE5_T0 = {"a": math.pi / 2.0, "b": 3.0 * math.pi / 4.0, "c": 7.0 * math.pi / 4.0}
+MAX_CELLS = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -51,7 +50,6 @@ class SweepSpec:
     axis2: Axis
     fixed: dict = field(default_factory=dict)
     mode: str = "as-printed"
-    threads: int = 1
 
     def __post_init__(self):
         if self.scheme not in SCHEMES:
@@ -61,8 +59,9 @@ class SweepSpec:
             raise ValueError(f"axis names must differ, both are {self.axis1.name!r}")
         if self.mode not in OBJECTIVE_MODES:
             raise ValueError(f"mode must be one of {OBJECTIVE_MODES}, got {self.mode!r}")
-        if self.threads < 1:
-            raise ValueError(f"threads must be >= 1, got {self.threads}")
+        cells = self.axis1.steps * self.axis2.steps
+        if cells > MAX_CELLS:
+            raise ValueError(f"grid of {cells} cells exceeds the limit of {MAX_CELLS}")
         known = set(SCHEMES[self.scheme].params) | {"dummy"}
         for name in (self.axis1.name, self.axis2.name):
             if name not in known:
@@ -223,10 +222,7 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     a1 = spec.axis1.values()
     a2 = spec.axis2.values()
 
-    cells = [(v1, v2) for v1 in a1 for v2 in a2]
-
-    def evaluate(cell):
-        v1, v2 = cell
+    def evaluate(v1, v2):
         params = dict(base)
         params[spec.axis1.name] = v1
         params[spec.axis2.name] = v2
@@ -237,11 +233,8 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
         except Exception as exc:  # noqa: BLE001 - cell isolation is the contract
             return math.nan, f"{spec.axis1.name}={v1:.6g}, {spec.axis2.name}={v2:.6g}: {exc}"
 
-    if spec.threads > 1:
-        with ThreadPoolExecutor(max_workers=spec.threads) as pool:
-            outcomes = list(pool.map(evaluate, cells))
-    else:
-        outcomes = [evaluate(c) for c in cells]
+    cells = [(v1, v2) for v1 in a1 for v2 in a2]
+    outcomes = [evaluate(v1, v2) for v1, v2 in cells]
 
     values = np.array([v for v, _ in outcomes]).reshape(len(a1), len(a2))
     failures = tuple(msg for _, msg in outcomes if msg is not None)
@@ -249,17 +242,12 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     def fmt(v: float) -> str:
         return f"{0.0 if v == 0.0 else v:.12g}"   # avoid '-0' rows
 
-    lines = ["axis1,axis2,value"]
-    k = 0
-    for v1 in a1:
-        for v2 in a2:
-            lines.append(f"{fmt(v1)},{fmt(v2)},{fmt(outcomes[k][0])}")
-            k += 1
+    lines = ["axis1,axis2,value"] + [f"{fmt(v1)},{fmt(v2)},{fmt(v)}"
+                                     for (v1, v2), (v, _) in zip(cells, outcomes)]
     return SweepResult(csv_text="\n".join(lines) + "\n", values=values, failures=failures)
 
 
-def figure3_spec(steps: int = 50, threads: int = 1,
-                 overrides: dict | None = None) -> SweepSpec:
+def figure3_spec(steps: int = 50, overrides: dict | None = None) -> SweepSpec:
     """Suboptimal-envelope surface over (theta, b+) at j = 1/6, t = pi/2.
 
     ``overrides`` replaces individual preset parameters (config-file layer).
@@ -271,12 +259,11 @@ def figure3_spec(steps: int = 50, threads: int = 1,
         axis1=Axis("theta", 0.0, math.pi / 2.0, steps),
         axis2=Axis("b_plus", 0.0, 5.0, steps),
         fixed=fixed,
-        threads=threads,
     )
 
 
 def figure5_spec(which: str, scheme: str = "n-mix", theta_steps: int = 25,
-                 threads: int = 1, overrides: dict | None = None) -> SweepSpec:
+                 overrides: dict | None = None) -> SweepSpec:
     """Mixed-state surface over (theta, s) for one of the three mean durations.
 
     The s axis runs to t0/3 in steps of t0/150 (51 samples); j = 1/6 and
@@ -306,7 +293,6 @@ def figure5_spec(which: str, scheme: str = "n-mix", theta_steps: int = 25,
         axis1=Axis("theta", 0.0, math.pi / 2.0, theta_steps),
         axis2=Axis("s", 0.0, t0 / 3.0, 51),
         fixed=fixed,
-        threads=threads,
     )
 
 
@@ -324,8 +310,7 @@ FIG4_COVERAGE_BAND = (0.70, 0.90)
 FIG4_THRESHOLD = 0.8
 
 
-def figure4_run(steps: int = 25, threads: int = 1,
-                overrides: dict | None = None) -> Figure4Result:
+def figure4_run(steps: int = 25, overrides: dict | None = None) -> Figure4Result:
     """Optimized-fidelity surface over (theta, b+) with the mode fallback.
 
     The surface is computed with the as-printed objective first; if its
@@ -343,7 +328,6 @@ def figure4_run(steps: int = 25, threads: int = 1,
             axis2=Axis("b_plus", 0.0, 5.0, steps),
             fixed=fixed,
             mode=mode,
-            threads=threads,
         )
 
     so = run_sweep(replace(spec_for("as-printed"), scheme="so", mode="as-printed"))

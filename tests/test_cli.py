@@ -18,6 +18,18 @@ class TestParsing:
         with pytest.raises(argparse.ArgumentTypeError):
             parse_number("__import__('os')")
 
+    @pytest.mark.parametrize("text", ["9**9**9", "pi**2", "(1)(2)", "pi.real"])
+    def test_parse_number_rejects_non_arithmetic(self, text):
+        import argparse
+        with pytest.raises(argparse.ArgumentTypeError):
+            parse_number(text)
+
+    def test_parse_number_matches_python_arithmetic(self):
+        assert parse_number("1/6") == 1 / 6
+        assert parse_number("-1e-3") == -1e-3
+        assert parse_number(" -pi / 2 ") == -math.pi / 2
+        assert parse_number("2*(e-1)") == 2 * (math.e - 1)
+
     def test_parse_axis(self):
         axis = parse_axis("theta:0:pi/2:25")
         assert axis.name == "theta"
@@ -42,7 +54,7 @@ class TestSurfaceCommand:
                 "--axis2", "b_plus:0:3:4", "--fix", "j=1/6", "--fix", "t=pi/2"]
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
         assert main(args + ["--out", str(p1)]) == 0
-        assert main(args + ["--out", str(p2), "--threads", "3"]) == 0
+        assert main(args + ["--out", str(p2)]) == 0
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_unknown_scheme_exits_2(self, capsys):
@@ -56,6 +68,18 @@ class TestSurfaceCommand:
                      "--axis1", "theta:0:1:3", "--axis2", "b_plus:0:1:3"])
         assert code == 2
         assert "missing parameters" in capsys.readouterr().err
+
+    def test_oversized_grid_exits_2(self, capsys):
+        code = main(["surface", "--scheme", "dr1",
+                     "--axis1", "theta:0:1:100000000", "--axis2", "dummy:0:1:2"])
+        assert code == 2
+        assert "exceeds the limit" in capsys.readouterr().err
+
+    def test_threads_flag_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(["surface", "--scheme", "dr1", "--axis1", "theta:0:1:2",
+                  "--axis2", "dummy:0:1:2", "--threads", "2"])
+        assert err.value.code == 2
 
     def test_numeric_cell_failure_exits_3(self, capsys):
         code = main(["surface", "--scheme", "witness",
@@ -139,6 +163,14 @@ class TestConfigFile:
                      "--axis2", "dummy:0:1:2", "--config", str(cfg)])
         assert code == 2
         assert "expected key=value" in capsys.readouterr().err
+
+    def test_threads_config_key_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text("threads=2\n")
+        code = main(["surface", "--scheme", "dr1", "--axis1", "theta:0:1:2",
+                     "--axis2", "dummy:0:1:2", "--config", str(cfg)])
+        assert code == 2
+        assert "'threads' is not used" in capsys.readouterr().err
 
     def test_missing_config_exits_2(self, capsys):
         code = main(["surface", "--scheme", "dr1", "--axis1", "theta:0:1:2",

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from isingcontrol.evolution import (
     IsingParams,
@@ -10,9 +10,9 @@ from isingcontrol.evolution import (
     evolution_closed_form,
     evolution_oracle,
     hamiltonian,
-    hamiltonian_normalized,
     normalize_fields,
     params_from_bj,
+    spectrum,
 )
 from isingcontrol.linalg import dag, hermitian_eigenvalues
 
@@ -96,8 +96,52 @@ class TestHamiltonian:
     def test_normalized_matches_scaled(self):
         f = PhysicalFields(1.0, -0.5, 0.8)
         p = normalize_fields(f)
-        np.testing.assert_allclose(hamiltonian_normalized(p), hamiltonian(f) / f.scale,
+        np.testing.assert_allclose(hamiltonian(p), hamiltonian(f) / f.scale,
                                    atol=1e-14)
+
+
+fields_strategy = st.tuples(
+    st.floats(min_value=-5.0, max_value=5.0),          # b1
+    st.floats(min_value=-5.0, max_value=5.0),          # b2
+    st.floats(min_value=0.0, max_value=3.0),           # j
+)
+
+
+class TestSpectrum:
+    @staticmethod
+    def assert_eigensystem(m):
+        energies, vectors = spectrum(m)
+        tol = 1e-12 * max(1.0, math.hypot(m.b_minus, 2.0 * m.j))
+        assert vectors.dtype == float
+        assert np.abs(vectors.T @ vectors - np.eye(4)).max() < tol
+        assert np.abs(vectors @ np.diag(energies) @ vectors.T - hamiltonian(m)).max() < tol
+
+    @given(fields_strategy)
+    @example((0.7, 0.7, 0.0))      # R = 0: equal fields, no coupling
+    @example((1.3, -0.4, 0.0))     # j = 0
+    @example((0.0, 0.0, 1.0))      # b- = 0
+    @settings(max_examples=200, deadline=None)
+    def test_physical_fields(self, draw):
+        self.assert_eigensystem(PhysicalFields(*draw))
+
+    @given(params_strategy)
+    @example((1.0, 0.0, 1.0, 0.0))
+    @example((1.0, 0.0, -1.0, 0.0))
+    @example((-2.0, 0.5, 1.0, 0.0))
+    @settings(max_examples=200, deadline=None)
+    def test_ising_params(self, draw):
+        b_plus, j, sign, _ = draw
+        self.assert_eigensystem(params_from_bj(b_plus, j, sign))
+
+    def test_energies_in_closed_form(self):
+        f = PhysicalFields(1.3, 0.4, 0.6)
+        energies, _ = spectrum(f)
+        bp, j, r = f.b_plus, f.j, f.scale
+        np.testing.assert_allclose(energies, [bp - j, j + r, j - r, -(bp + j)], atol=1e-15)
+
+    def test_degenerate_scale_is_identity(self):
+        _, vectors = spectrum(PhysicalFields(0.8, 0.8, 0.0))
+        np.testing.assert_array_equal(vectors, np.eye(4))
 
 
 class TestClosedForm:

@@ -2,13 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from isingcontrol.discrimination import f_n
 from isingcontrol.evolution import (
     PhysicalFields,
     evolution_closed_form,
-    hamiltonian_normalized,
+    hamiltonian,
     params_from_bj,
+    spectrum,
 )
 from isingcontrol.linalg import dag, hermitian_eigenvalues, max_asymmetry, projector
 from isingcontrol.states import initial_pair
@@ -66,7 +68,7 @@ class TestGaussianMixedState:
     def test_broad_limit_dephases_fully(self):
         g = GaussianTime(math.pi / 2, 1e3)
         mixed = gaussian_mixed_state(self.rho, self.p, g)
-        energies, vectors = np.linalg.eigh(hamiltonian_normalized(self.p))
+        energies, vectors = np.linalg.eigh(hamiltonian(self.p))
         expected = np.zeros((4, 4), dtype=complex)
         for k in range(4):
             pk = projector(vectors[:, k])
@@ -101,7 +103,7 @@ class TestGaussianMixedState:
     def test_energy_populations_invariant(self):
         g = GaussianTime(1.1, 0.7)
         mixed = gaussian_mixed_state(self.rho, self.p, g)
-        _, vectors = np.linalg.eigh(hamiltonian_normalized(self.p))
+        _, vectors = np.linalg.eigh(hamiltonian(self.p))
         before = np.diag(dag(vectors) @ self.rho @ vectors).real
         after = np.diag(dag(vectors) @ mixed @ vectors).real
         np.testing.assert_allclose(after, before, atol=1e-12)
@@ -280,6 +282,35 @@ class TestDephaseCore:
         # proportional Hamiltonian block: equal energies keep coherences
         h = np.diag([1.0, 1.0, 2.0, 3.0]).astype(complex)
         rho = np.full((4, 4), 0.25, dtype=complex)
-        out = dephase(rho, h, 2.0, 50.0)
+        out = dephase(rho, np.linalg.eigh(h), 2.0, 50.0)
         assert abs(out[0, 1] - 0.25) < 1e-12
         assert abs(out[2, 3]) < 1e-12
+
+    @staticmethod
+    def assert_kernel_matches_eigh(m, seed, t0, s):
+        rng = np.random.default_rng(seed)
+        v = rng.normal(size=4) + 1j * rng.normal(size=4)
+        rho = projector(v / np.linalg.norm(v))
+        closed = dephase(rho, spectrum(m), t0, s)
+        oracle = dephase(rho, np.linalg.eigh(hamiltonian(m)), t0, s)
+        assert np.abs(closed - oracle).max() < 1e-12
+
+    @given(st.floats(min_value=-3.0, max_value=3.0), st.floats(min_value=-3.0, max_value=3.0),
+           st.floats(min_value=0.0, max_value=2.0), st.integers(0, 2**32 - 1),
+           st.floats(min_value=0.01, max_value=2.0 * math.pi),
+           st.floats(min_value=0.0, max_value=2.0))
+    @example(0.7, 0.7, 0.0, 1, 1.0, 0.5)    # R = 0: equal fields, no coupling
+    @example(1.3, -0.4, 0.0, 2, 1.0, 0.5)   # j = 0
+    @settings(max_examples=150, deadline=None)
+    def test_closed_form_spectrum_matches_eigh_physical(self, b1, b2, j, seed, t0, s):
+        self.assert_kernel_matches_eigh(PhysicalFields(b1, b2, j), seed, t0, s)
+
+    @given(st.floats(min_value=-5.0, max_value=5.0), st.floats(min_value=0.0, max_value=0.5),
+           st.sampled_from([1.0, -1.0]), st.integers(0, 2**32 - 1),
+           st.floats(min_value=0.01, max_value=2.0 * math.pi),
+           st.floats(min_value=0.0, max_value=2.0))
+    @example(1.0, 0.0, -1.0, 3, 1.0, 0.5)   # j = 0, b- = -1
+    @example(1.0, 0.5, 1.0, 4, 1.0, 0.5)    # j = 1/2, b- = 0
+    @settings(max_examples=150, deadline=None)
+    def test_closed_form_spectrum_matches_eigh_normalized(self, b_plus, j, sign, seed, t0, s):
+        self.assert_kernel_matches_eigh(params_from_bj(b_plus, j, sign), seed, t0, s)

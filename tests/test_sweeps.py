@@ -6,6 +6,7 @@ import pytest
 from isingcontrol.discrimination import f_dr1
 from isingcontrol.evolution import params_from_bj
 from isingcontrol.sweeps import (
+    MAX_CELLS,
     Axis,
     SweepSpec,
     default_situation1_indices,
@@ -54,6 +55,12 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="at least 2"):
             Axis("theta", 0, 1, 1)
 
+    def test_grid_size_bounded(self):
+        side = math.isqrt(MAX_CELLS)
+        tiny_spec(axis1=Axis("theta", 0, 1, side), axis2=Axis("dummy", 0, 1, side))
+        with pytest.raises(ValueError, match="exceeds the limit"):
+            tiny_spec(axis1=Axis("theta", 0, 1, side + 1), axis2=Axis("dummy", 0, 1, side))
+
     def test_bad_mode(self):
         with pytest.raises(ValueError, match="mode"):
             tiny_spec(mode="whatever")
@@ -86,11 +93,10 @@ class TestRunSweep:
         value = result.csv_text.strip().split("\n")[2].split(",")[2]
         assert value == f"{f_dr1(np.linspace(0, math.pi/2, 4)[0]):.12g}"
 
-    def test_deterministic_and_thread_invariant(self):
+    def test_deterministic(self):
         a = run_sweep(tiny_spec())
         b = run_sweep(tiny_spec())
-        c = run_sweep(tiny_spec(threads=4))
-        assert a.csv_text == b.csv_text == c.csv_text
+        assert a.csv_text == b.csv_text
 
     def test_failed_cell_becomes_nan(self):
         # witness state index 7 does not exist: every cell fails
