@@ -72,7 +72,8 @@ def fold_angles(theta1: float, theta2: float, alpha1: float, alpha2: float) -> L
         if th > math.pi:
             th = two_pi - th
             al = al + math.pi
-        return th, al % two_pi
+        al = al % two_pi   # a tiny negative phase rounds up to 2 pi itself
+        return th, 0.0 if al == two_pi else al
 
     t1, a1 = fold_one(theta1, alpha1)
     t2, a2 = fold_one(theta2, alpha2)

@@ -265,7 +265,8 @@ def f2(theta: float, fields: PhysicalFields, t0: float, s: float,
     """
     plan = plan_situation2(t0, fields, duration, n, m)
     u = local_propagator(plan.b_plus_prime, plan.b_minus_prime, plan.duration)
-    return _mixed_fidelity(theta, fields, t0, s, u)
+    g = GaussianTime(t0, s)
+    return _mixed_fidelity(theta, fields, g.t0, g.s, u)
 
 
 def f2_printed(theta: float, fields: PhysicalFields, t0: float, s: float,

@@ -15,7 +15,7 @@ import numpy as np
 from .control import unwrap_arctan
 from .discrimination import f_ab, f_dr1, f_n, f_so
 from .evolution import IsingParams, PhysicalFields, params_from_bj
-from .optimize import OBJECTIVE_MODES, OptimizerSettings, optimize_fdr2
+from .optimize import OBJECTIVE_MODES, Fdr2Result, OptimizerSettings, optimize_fdr2
 from .states import schmidt_closed_form
 from .stochastic import GaussianTime, f1, f2, f_n_mix, witness_table
 
@@ -130,7 +130,7 @@ def _eval_so(params, mode):
 def _eval_dr2(params, mode):
     settings = OptimizerSettings(objective_mode=mode)
     return optimize_fdr2(params["theta"], params["b_plus"], params["j"], params["t"],
-                         settings).value
+                         settings)
 
 
 def _eval_n_mix(params, mode):
@@ -212,6 +212,7 @@ class SweepResult:
     csv_text: str
     values: np.ndarray          # (steps1, steps2) grid, nan for failed cells
     failures: tuple             # (axis1_value, axis2_value, message) triples
+    unconverged: int            # optimizer cells that stopped at the iteration cap
 
 
 def run_sweep(spec: SweepSpec) -> SweepResult:
@@ -229,22 +230,28 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
         params.pop("dummy", None)
         params = {k: v for k, v in params.items() if v is not None}
         try:
-            return float(scheme.fn(params, spec.mode)), None
+            out = scheme.fn(params, spec.mode)
+            if isinstance(out, Fdr2Result):
+                return out.value, None, out.converged
+            return float(out), None, True
         except Exception as exc:  # noqa: BLE001 - cell isolation is the contract
-            return math.nan, f"{spec.axis1.name}={v1:.6g}, {spec.axis2.name}={v2:.6g}: {exc}"
+            return (math.nan, f"{spec.axis1.name}={v1:.6g}, {spec.axis2.name}={v2:.6g}: {exc}",
+                    True)
 
     cells = [(v1, v2) for v1 in a1 for v2 in a2]
     outcomes = [evaluate(v1, v2) for v1, v2 in cells]
 
-    values = np.array([v for v, _ in outcomes]).reshape(len(a1), len(a2))
-    failures = tuple(msg for _, msg in outcomes if msg is not None)
+    values = np.array([v for v, _, _ in outcomes]).reshape(len(a1), len(a2))
+    failures = tuple(msg for _, msg, _ in outcomes if msg is not None)
+    unconverged = sum(not ok for _, _, ok in outcomes)
 
     def fmt(v: float) -> str:
         return f"{0.0 if v == 0.0 else v:.12g}"   # avoid '-0' rows
 
     lines = ["axis1,axis2,value"] + [f"{fmt(v1)},{fmt(v2)},{fmt(v)}"
-                                     for (v1, v2), (v, _) in zip(cells, outcomes)]
-    return SweepResult(csv_text="\n".join(lines) + "\n", values=values, failures=failures)
+                                     for (v1, v2), (v, _, _) in zip(cells, outcomes)]
+    return SweepResult(csv_text="\n".join(lines) + "\n", values=values, failures=failures,
+                       unconverged=unconverged)
 
 
 def figure3_spec(steps: int = 50, overrides: dict | None = None) -> SweepSpec:
@@ -304,6 +311,7 @@ class Figure4Result:
     dominance_gap: float        # max(F_SO - F_DR2) over the grid, operative mode
     sweep: SweepResult
     so_values: np.ndarray
+    unconverged: int            # optimizer cells at the iteration cap, both modes run
 
 
 FIG4_COVERAGE_BAND = (0.70, 0.90)
@@ -338,10 +346,12 @@ def figure4_run(steps: int = 25, overrides: dict | None = None) -> Figure4Result
     if in_band and gap_first <= 1e-6:
         return Figure4Result(mode="as-printed", coverage=coverage_first,
                              coverage_as_printed=coverage_first, dominance_gap=gap_first,
-                             sweep=first, so_values=so.values)
+                             sweep=first, so_values=so.values,
+                             unconverged=first.unconverged)
     second = run_sweep(spec_for("reprepare-originals"))
     coverage_second = float((second.values > FIG4_THRESHOLD).mean())
     gap_second = float((so.values - second.values).max())
     return Figure4Result(mode="reprepare-originals", coverage=coverage_second,
                          coverage_as_printed=coverage_first, dominance_gap=gap_second,
-                         sweep=second, so_values=so.values)
+                         sweep=second, so_values=so.values,
+                         unconverged=first.unconverged + second.unconverged)

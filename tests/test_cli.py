@@ -91,6 +91,16 @@ class TestSurfaceCommand:
         assert "nan" in captured.out
         assert "failed numerically" in captured.err
 
+    @pytest.mark.parametrize("scheme", ["f1", "f2", "n-mix"])
+    def test_negative_mean_duration_exits_3(self, scheme, capsys):
+        code = main(["surface", "--scheme", scheme,
+                     "--axis1", "theta:0:1:2", "--axis2", "s:0:0.3:2",
+                     "--fix", "b_plus=1", "--fix", "j=1/6", "--fix", "t0=-1"])
+        assert code == 3
+        captured = capsys.readouterr()
+        assert captured.out.count("nan") == 4
+        assert "mean duration must be positive" in captured.err
+
 
 class TestPlanCommand:
     def test_situation1_exact_loop(self, capsys):
@@ -207,3 +217,19 @@ class TestFigureCommands:
         assert "# fdr2-mode: " in text
         err = capsys.readouterr().err
         assert "operative mode" in err
+        assert "did not converge" not in err
+
+    def test_figure4_reports_unconverged_cells(self, tmp_path, capsys, monkeypatch):
+        import functools
+        import re
+
+        from isingcontrol import sweeps
+        from isingcontrol.optimize import OptimizerSettings
+
+        monkeypatch.setattr(sweeps, "OptimizerSettings",
+                            functools.partial(OptimizerSettings, max_refine_steps=1))
+        out = tmp_path / "fig4.csv"
+        assert main(["figure4", "--steps", "3", "--out", str(out)]) == 0
+        err = capsys.readouterr().err.splitlines()
+        assert err[0].startswith("figure4: operative mode ")
+        assert re.fullmatch(r"figure4: [1-9]\d* optimizer cell\(s\) did not converge", err[1])

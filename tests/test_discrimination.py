@@ -87,6 +87,10 @@ class TestPovmStates:
             assert abs(abs(np.vdot(a[0], raw_dd)) - 1.0) < 1e-10 or \
                    abs(abs(np.vdot(a[1], raw_dd)) - 1.0) < 1e-10
 
+    def test_fold_angles_tiny_negative_phase(self):
+        # -1e-17 % (2 pi) rounds to 2 pi itself, outside [0, 2 pi)
+        assert fold_angles(0.3, 0.2, -1e-17, -1e-17).angles() == (0.3, 0.2, 0.0, 0.0)
+
 
 class TestHelstrom:
     def test_undistorted_computational(self):

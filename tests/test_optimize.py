@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from isingcontrol.discrimination import (
     average_fidelity,
@@ -12,9 +13,14 @@ from isingcontrol.discrimination import (
 from isingcontrol.optimize import (
     Fdr2Result,
     OptimizerSettings,
+    _align,
+    _angles,
+    _bloch,
+    _correlations,
     coordinate_ascent,
     group_probs_batch,
     optimize_fdr2,
+    seesaw,
     zero_field_fidelity_batch,
     zero_field_objective,
     zero_field_stationary_values,
@@ -156,3 +162,76 @@ class TestStationaryValues:
         assert len(vals)
         for target in critical_fidelities(math.pi / 3):
             assert np.min(np.abs(vals - target)) < 1e-6
+
+
+def random_state(rng):
+    v = rng.normal(size=4) + 1j * rng.normal(size=4)
+    return v / np.linalg.norm(v)
+
+
+def weighted_objective(x, s1, s2, c1, c2):
+    p1, p2 = group_probs_batch(x, s1, s2)
+    return c1 * p1 + c2 * p2
+
+
+weights = st.floats(min_value=-1.0, max_value=1.0)
+
+
+class TestSeesaw:
+    @given(st.integers(0, 2**32 - 1), weights, weights)
+    @settings(max_examples=50, deadline=None)
+    def test_objective_is_bilinear_in_bloch_vectors(self, seed, c1, c2):
+        rng = np.random.default_rng(seed)
+        s1, s2 = random_state(rng), random_state(rng)
+        x = rng.uniform(-2 * math.pi, 2 * math.pi, (64, 4))
+        a = c1 * _correlations(s1) - c2 * _correlations(s2)
+        bilinear = 0.5 * (c1 + c2) + 0.5 * np.einsum(
+            "na,ab,nb->n", _bloch(x[:, 0], x[:, 2]), a, _bloch(x[:, 1], x[:, 3]))
+        np.testing.assert_allclose(weighted_objective(x, s1, s2, c1, c2), bilinear, atol=1e-14)
+
+    @given(st.integers(0, 2**32 - 1), weights, weights)
+    @settings(max_examples=100, deadline=None)
+    def test_half_step_beats_random_first_bases(self, seed, c1, c2):
+        rng = np.random.default_rng(seed)
+        s1, s2 = random_state(rng), random_state(rng)
+        t2, a2 = rng.uniform(0, math.pi, 1), rng.uniform(0, 2 * math.pi, 1)
+        a = c1 * _correlations(s1) - c2 * _correlations(s2)
+        t1, a1 = _angles(_align(a, _bloch(t2, a2), np.array([[0.0, 0.0, 1.0]])))
+        best = weighted_objective(np.column_stack([t1, t2, a1, a2]), s1, s2, c1, c2)[0]
+        trial = np.column_stack([rng.uniform(0, math.pi, 256), np.full(256, t2[0]),
+                                 rng.uniform(0, 2 * math.pi, 256), np.full(256, a2[0])])
+        assert best >= weighted_objective(trial, s1, s2, c1, c2).max() - 1e-12
+
+    @given(st.integers(0, 2**32 - 1), weights, weights, st.integers(1, 50))
+    @settings(max_examples=100, deadline=None)
+    def test_never_below_any_start(self, seed, c1, c2, max_steps):
+        rng = np.random.default_rng(seed)
+        s1, s2 = random_state(rng), random_state(rng)
+        start = rng.uniform(0, 2 * math.pi, (11, 4))
+        pts, _ = seesaw(start, s1, s2, c1, c2, 1e-8, max_steps)
+        before = weighted_objective(start, s1, s2, c1, c2)
+        after = weighted_objective(pts, s1, s2, c1, c2)
+        assert (after >= before - 1e-12).all()
+
+    def test_fixed_point_is_stationary(self):
+        b1p, b2p = evolved_pair_bj(0.6, 1.4, 0.25, 0.8)
+        start = np.random.default_rng(3).uniform(0, 2 * math.pi, (4, 4))
+        pts, converged = seesaw(start, b1p, b2p, 0.4, 0.3, 1e-10, 5000)
+        assert converged
+        again, converged = seesaw(pts, b1p, b2p, 0.4, 0.3, 1e-10, 1)
+        assert converged
+        np.testing.assert_allclose(weighted_objective(again, b1p, b2p, 0.4, 0.3),
+                                   weighted_objective(pts, b1p, b2p, 0.4, 0.3), atol=1e-15)
+
+    def test_iteration_cap_reports_not_converged(self):
+        # a cell whose see-saw needs about 250 sweeps at the default tolerance
+        cell = (3 * math.pi / 8, 3.75, 1 / 6, math.pi / 2)
+        assert optimize_fdr2(*cell).converged
+        capped = optimize_fdr2(*cell, OptimizerSettings(max_refine_steps=1))
+        assert not capped.converged
+        theta = cell[0]
+        originals = initial_pair(theta)
+        distorted = evolved_pair_bj(*cell)
+        for povm in (computational_povm(), table1_povm(theta, "A"), table1_povm(theta, "B")):
+            seed_val = average_fidelity(originals, distorted, distorted, povm).avg_fidelity
+            assert capped.value >= seed_val - 1e-12

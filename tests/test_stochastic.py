@@ -225,6 +225,13 @@ class TestF2:
                 expected = f_n_mix(theta, 4.0, 0.5, t0, s)
                 assert got == pytest.approx(expected, abs=1e-12)
 
+    def test_rejects_invalid_duration_model(self):
+        fields = PhysicalFields(1.0, 0.0, 0.5)
+        with pytest.raises(ValueError, match="mean duration"):
+            f2(0.5, fields, -1.0, 0.1, 1.0, 1, 0)
+        with pytest.raises(ValueError, match="spread"):
+            f2(0.5, fields, 1.0, -0.1, 1.0, 1, 0)
+
     def test_printed_form_deviates_from_pipeline(self):
         fields = PhysicalFields(1.0, 0.0, 0.5)
         dev = abs(f2(0.9, fields, math.pi / 2, 0.4, 1.0, 1, 0)

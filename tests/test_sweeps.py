@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from isingcontrol.sweeps import (
     default_situation2_indices,
     fields_from_bj,
     figure3_spec,
+    figure4_run,
     figure5_spec,
     run_sweep,
 )
@@ -190,3 +192,17 @@ class TestHelpers:
         n, m = default_situation2_indices(t0, fields)
         # n pi must be the closest multiple of pi to B+ t0
         assert abs(n * math.pi - fields.b_plus * t0) <= math.pi / 2 + 1e-12
+
+
+def test_figure4_matches_checked_in_surface():
+    # figure4 --steps 5 as written by the coordinate-ascent optimizer
+    fixture = (Path(__file__).parent / "data" / "figure4_steps5.csv").read_text().splitlines()
+    result = figure4_run(steps=5)
+    rows = result.sweep.csv_text.splitlines()
+    assert rows[0] == fixture[0]
+    assert len(rows) == 26 and fixture[26:] == [
+        f"# fdr2-mode: {result.mode}", f"# coverage-above-0.8: {result.coverage:.6f}"]
+    for row, value, expected in zip(rows[1:], result.sweep.values.ravel(), fixture[1:26]):
+        expected_axes, expected_value = expected.rsplit(",", 1)
+        assert row.rsplit(",", 1)[0] == expected_axes
+        assert abs(value - float(expected_value)) <= 1e-12
