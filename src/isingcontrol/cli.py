@@ -18,9 +18,17 @@ import argparse
 import ast
 import math
 import operator
+import os
 import sys
 
-from . import sweeps
+# One BLAS thread unless the caller asks for more: no command runs a BLAS
+# call large enough to split, while the worker that OpenBLAS otherwise
+# starts per core as numpy loads slows the start by 60-70 ms whenever the
+# other cores are busy.  OpenBLAS reads this once, when numpy first loads,
+# which the package's lazy exports leave to the import below.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
+from . import sweeps  # noqa: E402
 from .control import (
     apply_situation1,
     apply_situation2,

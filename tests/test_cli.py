@@ -1,7 +1,12 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import isingcontrol
 from isingcontrol.cli import main, parse_axis, parse_number
 
 
@@ -35,6 +40,21 @@ class TestParsing:
         assert axis.name == "theta"
         assert axis.hi == pytest.approx(math.pi / 2)
         assert axis.steps == 25
+
+
+class TestProcessStart:
+    CODE = ("import os, sys, isingcontrol; loaded = 'numpy' in sys.modules; "
+            "import isingcontrol.cli; print(loaded, os.environ['OPENBLAS_NUM_THREADS'])")
+
+    @pytest.mark.parametrize("preset, expected", [(None, "1"), ("3", "3")])
+    def test_blas_threads_set_before_numpy_loads(self, preset, expected):
+        env = dict(os.environ, PYTHONPATH=str(Path(isingcontrol.__file__).parents[1]))
+        env.pop("OPENBLAS_NUM_THREADS", None)
+        if preset is not None:
+            env["OPENBLAS_NUM_THREADS"] = preset
+        proc = subprocess.run([sys.executable, "-c", self.CODE], env=env,
+                              capture_output=True, text=True, check=True)
+        assert proc.stdout.split() == ["False", expected]
 
 
 class TestSurfaceCommand:
