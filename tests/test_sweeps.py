@@ -206,3 +206,23 @@ def test_figure4_matches_checked_in_surface():
         expected_axes, expected_value = expected.rsplit(",", 1)
         assert row.rsplit(",", 1)[0] == expected_axes
         assert abs(value - float(expected_value)) <= 1e-12
+
+
+GOLDEN_SURFACES = [("figure3_steps10.csv", lambda: figure3_spec(steps=10))] + [
+    (f"figure5{which}_{scheme}_steps7.csv",
+     lambda which=which, scheme=scheme: figure5_spec(which, scheme=scheme, theta_steps=7))
+    for which in "abc" for scheme in ("n-mix", "f1", "f2")]
+
+
+@pytest.mark.parametrize("name, spec", GOLDEN_SURFACES, ids=[n for n, _ in GOLDEN_SURFACES])
+def test_preset_matches_checked_in_surface(name, spec):
+    # preset surfaces as written by the per-cell scalar path
+    fixture = (Path(__file__).parent / "data" / name).read_text().splitlines()
+    result = run_sweep(spec())
+    rows = result.csv_text.splitlines()
+    assert not result.failures
+    assert rows[0] == fixture[0] and len(rows) == len(fixture)
+    for row, value, expected in zip(rows[1:], result.values.ravel(), fixture[1:]):
+        expected_axes, expected_value = expected.rsplit(",", 1)
+        assert row.rsplit(",", 1)[0] == expected_axes
+        assert abs(value - float(expected_value)) <= 1e-12
