@@ -12,6 +12,11 @@ epsilon1 delta2} for the second.  The success ("Helstrom") probabilities
 are the summed outcome weights of each group in the corresponding
 distorted state, and the average fidelity weighs the repreparation
 overlaps by them.
+
+The ``*_grid`` functions evaluate a scheme over arrays of cells at once
+(stacked states, the propagator's five entries broadcast over the grid).
+They skip the scalar functions' range checks, so the caller masks the
+cells that the scalar function rejects.
 """
 from __future__ import annotations
 
@@ -20,7 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .states import evolved_pair_bj, initial_pair
+from .evolution import propagate, propagator_entries
+from .states import evolved_pair_bj, initial_pair, initial_pair_grid
 
 
 @dataclass(frozen=True)
@@ -111,10 +117,12 @@ def helstrom(rho1_distorted, rho2_distorted, povm: LocalPovm) -> tuple[float, fl
     or density matrices (the mixed case uses the same unsquared expectation
     sums; squaring them would not reduce to the pure case).
     """
-    dd, ee, de, ed = povm_states(povm)
-    p1 = _weight(dd, rho1_distorted) + _weight(ee, rho1_distorted)
-    p2 = _weight(de, rho2_distorted) + _weight(ed, rho2_distorted)
-    return p1, p2
+    return _votes(povm_states(povm), rho1_distorted, rho2_distorted, _weight)
+
+
+def _votes(outcomes, first, second, weight):
+    dd, ee, de, ed = outcomes
+    return weight(dd, first) + weight(ee, first), weight(de, second) + weight(ed, second)
 
 
 def state_fidelity(a, b) -> float:
@@ -140,19 +148,38 @@ def average_fidelity(originals, distorted, reprepared, povm: LocalPovm) -> Schem
     densities; the Helstrom probabilities are evaluated on the distorted
     pair and the fidelities against the originals.
     """
-    b1, b2 = originals
-    r1, r2 = reprepared
     p1, p2 = helstrom(distorted[0], distorted[1], povm)
-    avg = 0.5 * (p1 * state_fidelity(b1, r1) + (1.0 - p1) * state_fidelity(b1, r2)) \
-        + 0.5 * (p2 * state_fidelity(b2, r2) + (1.0 - p2) * state_fidelity(b2, r1))
+    avg = _average(p1, p2, originals, reprepared, state_fidelity)
     return SchemeResult(p_h1=p1, p_h2=p2, avg_fidelity=avg)
+
+
+def _average(p1, p2, originals, reprepared, fidelity):
+    (b1, b2), (r1, r2) = originals, reprepared
+    return 0.5 * (p1 * fidelity(b1, r1) + (1.0 - p1) * fidelity(b1, r2)) \
+        + 0.5 * (p2 * fidelity(b2, r2) + (1.0 - p2) * fidelity(b2, r1))
+
+
+def _overlaps(a, b):
+    """|<a|b>|^2 of stacked state vectors, through the same BLAS dot product
+    and hypot as ``abs(np.vdot(a, b)) ** 2``, which they match to the bit
+    in nearly every cell."""
+    z = (a.conj()[..., None, :] @ np.asarray(b, dtype=complex)[..., :, None])[..., 0, 0]
+    return np.hypot(z.real, z.imag) ** 2
 
 
 def f_dr1(theta: float) -> float:
     """Discriminate-and-reprepare with the computational basis: (1 + sin^2 theta)/2."""
     if not 0.0 <= theta <= math.pi / 2:
         raise ValueError(f"theta must lie in [0, pi/2], got {theta}")
-    return 0.5 * (1.0 + math.sin(theta) ** 2)
+    return _dr1(math.sin(theta))
+
+
+def f_dr1_grid(theta: np.ndarray) -> np.ndarray:
+    return _dr1(np.sin(theta))
+
+
+def _dr1(sin_theta):
+    return 0.5 * (1.0 + sin_theta ** 2)
 
 
 def f_n(theta: float, b_plus: float, j: float, t: float) -> float:
@@ -164,14 +191,23 @@ def f_n(theta: float, b_plus: float, j: float, t: float) -> float:
 
     Independent of the field inhomogeneity b-.
     """
-    c2 = math.cos(theta) ** 2
-    s2 = math.sin(theta) ** 2
-    cbt = math.cos(b_plus * t)
-    cross = math.cos(t) * math.cos(2.0 * j * t) + 2.0 * j * math.sin(t) * math.sin(2.0 * j * t)
+    return _f_n(math, theta, b_plus, j, t)
+
+
+def f_n_grid(theta, b_plus, j, t) -> np.ndarray:
+    return _f_n(np, theta, b_plus, j, t)
+
+
+def _f_n(xp, theta, b_plus, j, t):
+    """The F_N formula with the elementary functions of ``xp`` (math or numpy)."""
+    c2 = xp.cos(theta) ** 2
+    s2 = xp.sin(theta) ** 2
+    cbt = xp.cos(b_plus * t)
+    cross = xp.cos(t) * xp.cos(2.0 * j * t) + 2.0 * j * xp.sin(t) * xp.sin(2.0 * j * t)
     return 0.5 * (
         cbt * cbt * (1.0 + c2 * c2)
-        + 0.5 * cbt * cross * math.sin(2.0 * theta) ** 2
-        + (4.0 * j * j * math.sin(t) ** 2 + math.cos(t) ** 2) * s2 * s2
+        + 0.5 * cbt * cross * xp.sin(2.0 * theta) ** 2
+        + (4.0 * j * j * xp.sin(t) ** 2 + xp.cos(t) ** 2) * s2 * s2
     )
 
 
@@ -214,9 +250,32 @@ def f_ab(theta: float, b_plus: float, j: float, t: float) -> float:
                             table1_povm(theta, "A")).avg_fidelity
 
 
+def f_ab_grid(theta, b_plus, j, t) -> np.ndarray:
+    """:func:`f_ab` over arrays of cells: the stacked pair is propagated by
+    the five propagator entries and scored with the variant-A measurement,
+    whose outcome vectors are real."""
+    originals = initial_pair_grid(theta)
+    b_minus = np.sqrt(np.maximum(0.0, 1.0 - 4.0 * j * j))      # as params_from_bj
+    entries = propagator_entries(b_plus, b_minus, j, t)
+    distorted = [propagate(entries, beta) for beta in originals]
+    half = (math.pi - 2.0 * theta) / 2.0 / 2.0                  # table1_povm "A"
+    c, s = np.cos(half), np.sin(half)
+    d, e = np.stack([c, s], axis=-1), np.stack([s, -c], axis=-1)
+    outcomes = [(a[..., :, None] * b[..., None, :]).reshape(*a.shape[:-1], 4)
+                for a, b in ((d, d), (e, e), (d, e), (e, d))]
+    p1, p2 = _votes(outcomes, distorted[0], distorted[1], _overlaps)
+    return _average(p1, p2, originals, originals, _overlaps)
+
+
 def f_so(theta: float, b_plus: float, j: float, t: float) -> float:
-    """Suboptimal-control envelope: max of the two closed schemes."""
-    return max(f_dr1(theta), f_ab(theta, b_plus, j, t))
+    """Suboptimal-control envelope: max of the two closed schemes (nan if
+    F_AB is nan)."""
+    dr1, ab = f_dr1(theta), f_ab(theta, b_plus, j, t)
+    return ab if math.isnan(ab) else max(dr1, ab)
+
+
+def f_so_grid(theta, b_plus, j, t) -> np.ndarray:
+    return np.maximum(f_dr1_grid(theta), f_ab_grid(theta, b_plus, j, t))
 
 
 def critical_fidelities(theta: float) -> tuple[float, ...]:

@@ -163,15 +163,36 @@ def evolution_closed_form(p: IsingParams, t: float) -> np.ndarray:
     block is j*I plus a traceless part M with M^2 = (b-^2 + 4 j^2) I = I,
     so its exponential is e^{-i j t}(cos t * I - i sin t * M).
     """
-    ph = np.exp(-1j * t * p.j)
-    ct, st = np.cos(t), np.sin(t)
     u = np.zeros((4, 4), dtype=complex)
-    u[0, 0] = np.exp(-1j * t * (p.b_plus - p.j))
-    u[1, 1] = ph * (ct - 1j * p.b_minus * st)
-    u[1, 2] = u[2, 1] = 2j * p.j * ph * st
-    u[2, 2] = ph * (ct + 1j * p.b_minus * st)
-    u[3, 3] = np.exp(1j * t * (p.b_plus + p.j))
+    u[0, 0], u[1, 1], u[1, 2], u[2, 2], u[3, 3] = propagator_entries(
+        p.b_plus, p.b_minus, p.j, t)
+    u[2, 1] = u[1, 2]
     return u
+
+
+def propagator_entries(b_plus, b_minus, j, t) -> tuple:
+    """The five distinct nonzero entries (U[00,00], U[01,01], U[01,10],
+    U[10,10], U[11,11]) of :func:`evolution_closed_form`.
+
+    Takes floats or arrays that broadcast against each other, so a whole
+    grid of cells is propagated in a few numpy calls; nothing is validated.
+    """
+    ph = np.exp(-1j * t * j)
+    ct, st = np.cos(t), np.sin(t)
+    return (np.exp(-1j * t * (b_plus - j)),
+            ph * (ct - 1j * b_minus * st),
+            2j * j * ph * st,
+            ph * (ct + 1j * b_minus * st),
+            np.exp(1j * t * (b_plus + j)))
+
+
+def propagate(entries: tuple, state: np.ndarray) -> np.ndarray:
+    """U|state> from :func:`propagator_entries`; broadcasts over stacked
+    states (..., 4) and stacked entries."""
+    u00, u11, u12, u22, u33 = entries
+    s0, s1, s2, s3 = np.moveaxis(np.asarray(state), -1, 0)
+    return np.stack(np.broadcast_arrays(
+        u00 * s0, u11 * s1 + u12 * s2, u12 * s1 + u22 * s2, u33 * s3), axis=-1)
 
 
 def evolution_oracle(fields: PhysicalFields, t: float) -> np.ndarray:

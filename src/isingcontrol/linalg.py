@@ -2,8 +2,9 @@
 
 Everything operates on plain numpy arrays: state vectors are complex
 ``(4,)`` (or ``(2,)``) arrays, operators are complex ``(4, 4)`` or ``(2, 2)``
-arrays in the computational basis ``{|00>, |01>, |10>, |11>}``.  All
-functions are pure; nothing here mutates its inputs.
+arrays in the computational basis ``{|00>, |01>, |10>, |11>}``; ``dag`` and
+``projector`` also take stacks of them along leading axes.  All functions
+are pure; nothing here mutates its inputs.
 """
 from __future__ import annotations
 
@@ -14,14 +15,14 @@ TRACE_TOL = 1e-10
 
 
 def dag(m: np.ndarray) -> np.ndarray:
-    """Conjugate transpose."""
-    return m.conj().T
+    """Conjugate transpose of a matrix or of each matrix in a (..., n, n) stack."""
+    return m.conj().swapaxes(-1, -2)
 
 
 def projector(state: np.ndarray) -> np.ndarray:
-    """|state><state| for a state vector."""
+    """|state><state| for a state vector or each vector of a (..., n) stack."""
     v = np.asarray(state, dtype=complex)
-    return np.outer(v, v.conj())
+    return v[..., :, None] * v[..., None, :].conj()
 
 
 def max_asymmetry(m: np.ndarray) -> float:

@@ -42,9 +42,17 @@ def initial_pair(theta: float) -> tuple[np.ndarray, np.ndarray]:
     """The two candidate preparations (beta1, beta2) at mixing angle theta."""
     if not 0.0 <= theta <= math.pi / 2:
         raise ValueError(f"theta must lie in [0, pi/2], got {theta}")
-    beta1 = bell(0, 0)
-    beta2 = math.sin(theta) * bell(0, 1) - math.cos(theta) * bell(1, 0)
-    return beta1, beta2
+    return _pair(math.sin(theta), math.cos(theta))
+
+
+def initial_pair_grid(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`initial_pair` for an array of angles, without the range check:
+    beta1 as one (4,) vector, beta2 stacked (..., 4)."""
+    return _pair(np.sin(theta)[..., None], np.cos(theta)[..., None])
+
+
+def _pair(sin_theta, cos_theta):
+    return bell(0, 0), sin_theta * bell(0, 1) - cos_theta * bell(1, 0)
 
 
 def pair_from_local_bases(theta: float) -> tuple[np.ndarray, np.ndarray]:

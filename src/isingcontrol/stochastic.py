@@ -80,7 +80,7 @@ class GaussianTime:
         return self.ratio >= MODEL_VALIDITY_RATIO
 
 
-def dephase(rho: np.ndarray, eigensystem: tuple, t0: float, s: float) -> np.ndarray:
+def dephase(rho: np.ndarray, eigensystem: tuple, t0, s) -> np.ndarray:
     """Gaussian-averaged evolution of rho; ``eigensystem`` is the Hamiltonian's
     (energies, orthonormal column vectors), as from :func:`evolution.spectrum`.
 
@@ -88,10 +88,13 @@ def dephase(rho: np.ndarray, eigensystem: tuple, t0: float, s: float) -> np.ndar
     sum_{k,l} P_k rho P_l e^{-i (E_k - E_l) t0 - (E_k - E_l)^2 s^2 / 2}.
     Degenerate pairs have zero frequency difference and are untouched,
     which is the correct limit of the integral.
+
+    Also dephases a stack of densities (..., 4, 4) at once: t0 and s then
+    broadcast against it, e.g. an array of spreads shaped (n, 1, 1).
     """
     energies, vectors = eigensystem
     rot = dag(vectors) @ np.asarray(rho, dtype=complex) @ vectors
-    w = energies[:, None] - energies[None, :]
+    w = energies[..., :, None] - energies[..., None, :]
     rot = rot * np.exp(-1j * w * t0 - 0.5 * (w * s) ** 2)
     return vectors @ rot @ dag(vectors)
 
@@ -164,19 +167,27 @@ def witness_table_numeric(theta: float, p: IsingParams, g: GaussianTime) -> dict
             for state, rho in mixed.items() for i in (0, 1) for j in (0, 1)}
 
 
-def _mixed_fidelity(theta: float, model: IsingParams | PhysicalFields, t0: float,
-                    s: float, u: np.ndarray | None = None) -> float:
+def pair_fidelity(pair: tuple, eigensystem: tuple, t0, s,
+                  u: np.ndarray | None = None):
     """No-measurement average fidelity (Tr rho1 rho1'' + Tr rho2 rho2'')/2 of
-    the pair dephased under the model's spectrum and then corrected by u."""
-    eigensystem = spectrum(model)
+    the pair dephased in ``eigensystem`` and then corrected by u.
+
+    The states may be stacked (..., 4), with s broadcasting as in
+    :func:`dephase`; the result then has the stack's shape.
+    """
     total = 0.0
-    for beta in initial_pair(theta):
+    for beta in pair:
         rho = projector(beta)
         mixed = dephase(rho, eigensystem, t0, s)
         if u is not None:
             mixed = u @ mixed @ dag(u)
-        total += np.trace(rho @ mixed).real
-    return 0.5 * float(total)
+        total = total + np.trace(rho @ mixed, axis1=-2, axis2=-1).real
+    return 0.5 * total
+
+
+def _mixed_fidelity(theta: float, model: IsingParams | PhysicalFields, t0: float,
+                    s: float, u: np.ndarray | None = None) -> float:
+    return float(pair_fidelity(initial_pair(theta), spectrum(model), t0, s, u))
 
 
 def f_n_mix_pipeline(theta: float, b_plus: float, j: float, t0: float, s: float) -> float:
@@ -197,29 +208,42 @@ def f_n_mix(theta: float, b_plus: float, j: float, t0: float, s: float) -> float
     the mixing pipeline on every call; on disagreement beyond 1e-9 the
     pipeline value is returned with a FormulaDeviationWarning.
     """
-    c2 = math.cos(theta) ** 2
-    s2t = math.sin(theta) ** 2
+    closed = f_n_mix_closed(math, theta, b_plus, j, t0, s)
+    pipeline = f_n_mix_pipeline(theta, b_plus, j, t0, s)
+    return float(cross_checked(closed, pipeline))
+
+
+def f_n_mix_closed(xp, theta, b_plus, j, t0, s):
+    """The closed form of :func:`f_n_mix`, with the elementary functions of
+    ``xp``: math for one cell, numpy for arrays of cells."""
+    c2 = xp.cos(theta) ** 2
+    s2t = xp.sin(theta) ** 2
     jj4 = 4.0 * j * j
 
     def damped_cos(w):
-        return math.exp(-0.5 * (w * s) ** 2) * math.cos(w * t0)
+        return xp.exp(-0.5 * (w * s) ** 2) * xp.cos(w * t0)
 
     g_n = ((1.0 - 2.0 * j) * (damped_cos(1.0 + b_plus + 2.0 * j)
                               + damped_cos(1.0 - b_plus + 2.0 * j))
            + (1.0 + 2.0 * j) * (damped_cos(1.0 + b_plus - 2.0 * j)
                                 + damped_cos(1.0 - b_plus - 2.0 * j)))
-    closed = 0.25 * (
-        (1.0 + math.exp(-2.0 * (b_plus * s) ** 2) * math.cos(2.0 * b_plus * t0)) * (1.0 + c2 * c2)
+    return 0.25 * (
+        (1.0 + xp.exp(-2.0 * (b_plus * s) ** 2) * xp.cos(2.0 * b_plus * t0)) * (1.0 + c2 * c2)
         + g_n * c2 * s2t
-        + ((1.0 + jj4) + (1.0 - jj4) * math.exp(-2.0 * s * s) * math.cos(2.0 * t0)) * s2t * s2t
+        + ((1.0 + jj4) + (1.0 - jj4) * xp.exp(-2.0 * s * s) * xp.cos(2.0 * t0)) * s2t * s2t
     )
-    pipeline = f_n_mix_pipeline(theta, b_plus, j, t0, s)
-    if abs(closed - pipeline) > FNMIX_CROSSCHECK_TOL:
+
+
+def cross_checked(closed, pipeline):
+    """The closed-form value, or the pipeline value with one
+    FormulaDeviationWarning per cell where the two differ by more than
+    FNMIX_CROSSCHECK_TOL; takes floats or arrays of cells."""
+    deviation = np.abs(closed - pipeline)
+    for dev in np.atleast_1d(deviation)[np.atleast_1d(deviation > FNMIX_CROSSCHECK_TOL)]:
         warnings.warn(
-            f"do-nothing closed form deviates from pipeline by {abs(closed - pipeline):.3e}; "
-            "returning the pipeline value", FormulaDeviationWarning, stacklevel=2)
-        return pipeline
-    return closed
+            f"do-nothing closed form deviates from pipeline by {dev:.3e}; "
+            "returning the pipeline value", FormulaDeviationWarning, stacklevel=3)
+    return np.where(deviation > FNMIX_CROSSCHECK_TOL, pipeline, closed)
 
 
 def f1(theta: float, p: IsingParams, t0: float, s: float, n: int, m: int) -> float:
@@ -228,12 +252,17 @@ def f1(theta: float, p: IsingParams, t0: float, s: float, n: int, m: int) -> flo
     The correction field and duration come from the plan at t = t0; the
     mixing itself runs over the uncertain duration.
     """
+    u = f1_correction(p, t0, n, m)
+    g = GaussianTime(t0, s)
+    return _mixed_fidelity(theta, p, g.t0, g.s, u)
+
+
+def f1_correction(p: IsingParams, t0: float, n: int, m: int) -> np.ndarray:
+    """Propagator of the quasi-loop correction planned at t = t0."""
     plan = plan_situation1(t0, p, n, m)
     corrected = IsingParams(b_plus=p.b_plus + plan.delta_b_plus,
                             b_minus=p.b_minus, j=p.j, scale=p.scale)
-    u = evolution_closed_form(corrected, plan.duration)
-    g = GaussianTime(t0, s)
-    return _mixed_fidelity(theta, p, g.t0, g.s, u)
+    return evolution_closed_form(corrected, plan.duration)
 
 
 def f1_printed(theta: float, b_plus: float, j: float, t0: float, s: float, n: int) -> float:
@@ -263,10 +292,16 @@ def f2(theta: float, fields: PhysicalFields, t0: float, s: float,
     Mixing and planning both use physical units here; the plan is solved at
     t = t0 and applied to the Gaussian-mixed states.
     """
-    plan = plan_situation2(t0, fields, duration, n, m)
-    u = local_propagator(plan.b_plus_prime, plan.b_minus_prime, plan.duration)
+    u = f2_correction(fields, t0, duration, n, m)
     g = GaussianTime(t0, s)
     return _mixed_fidelity(theta, fields, g.t0, g.s, u)
+
+
+def f2_correction(fields: PhysicalFields, t0: float, duration: float,
+                  n: int, m: int) -> np.ndarray:
+    """Propagator of the local-field correction planned at t = t0."""
+    plan = plan_situation2(t0, fields, duration, n, m)
+    return local_propagator(plan.b_plus_prime, plan.b_minus_prime, plan.duration)
 
 
 def f2_printed(theta: float, fields: PhysicalFields, t0: float, s: float,

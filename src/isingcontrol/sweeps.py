@@ -3,7 +3,14 @@
 A sweep evaluates one scheme over a two-axis grid with the remaining
 parameters fixed, and serializes ``axis1,axis2,value`` rows in row-major
 order with 12 significant digits.  Cell failures become ``nan`` cells and
-are reported, never raised mid-sweep.
+are reported, never raised mid-sweep; a non-finite value is a failure too.
+
+Schemes with an array evaluator (``SchemeDef.grid``) compute the whole grid
+in a few numpy calls.  Those evaluators skip the scalar functions' checks
+and leave ``nan`` wherever a check could fail; every cell whose grid value
+is not finite, or every cell if the evaluator raises, is re-run on its
+own through the scalar ``SchemeDef.fn``, which keeps the per-cell values,
+messages and exit code of the scalar path.
 """
 from __future__ import annotations
 
@@ -13,11 +20,31 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .control import unwrap_arctan
-from .discrimination import f_ab, f_dr1, f_n, f_so
-from .evolution import IsingParams, PhysicalFields, params_from_bj
+from .discrimination import (
+    f_ab,
+    f_ab_grid,
+    f_dr1,
+    f_dr1_grid,
+    f_n,
+    f_n_grid,
+    f_so,
+    f_so_grid,
+)
+from .evolution import IsingParams, PhysicalFields, params_from_bj, spectrum
 from .optimize import OBJECTIVE_MODES, Fdr2Result, OptimizerSettings, optimize_fdr2
-from .states import schmidt_closed_form
-from .stochastic import GaussianTime, f1, f2, f_n_mix, witness_table
+from .states import initial_pair_grid, schmidt_closed_form
+from .stochastic import (
+    GaussianTime,
+    cross_checked,
+    f1,
+    f1_correction,
+    f2,
+    f2_correction,
+    f_n_mix,
+    f_n_mix_closed,
+    pair_fidelity,
+    witness_table,
+)
 
 FIGURE_J = 1.0 / 6.0
 FIGURE_T = math.pi / 2.0
@@ -138,22 +165,32 @@ def _eval_n_mix(params, mode):
                    params["t0"], params["s"])
 
 
-def _eval_f1(params, mode):
+def _f1_inputs(params):
     p = params_from_bj(params["b_plus"], params["j"])
     if "n" in params and "m" in params:
         n, m = _as_int(params, "n"), _as_int(params, "m")
     else:
         n, m = default_situation1_indices(params["t0"], p)
+    return p, n, m
+
+
+def _eval_f1(params, mode):
+    p, n, m = _f1_inputs(params)
     return f1(params["theta"], p, params["t0"], params["s"], n, m)
 
 
-def _eval_f2(params, mode):
+def _f2_inputs(params):
     fields = fields_from_bj(params["b_plus"], params["j"])
     duration = params.get("T", 1.0)
     if "n" in params and "m" in params:
         n, m = _as_int(params, "n"), _as_int(params, "m")
     else:
         n, m = default_situation2_indices(params["t0"], fields)
+    return fields, duration, n, m
+
+
+def _eval_f2(params, mode):
+    fields, duration, n, m = _f2_inputs(params)
     return f2(params["theta"], fields, params["t0"], params["s"], duration, n, m)
 
 
@@ -182,24 +219,104 @@ def _eval_f_curve(params, mode):
     return phi - phi_prime - 4.0 * j * t
 
 
+def _angle_ok(theta):
+    return (0.0 <= theta) & (theta <= math.pi / 2)
+
+
+def _pure_ok(params):
+    """Cells that pass initial_pair and params_from_bj."""
+    return _angle_ok(params["theta"]) & (0.0 <= params["j"]) & (params["j"] <= 0.5) \
+        & np.isfinite(params["b_plus"])
+
+
+def _grid_dr1(params, mode):
+    return np.where(_angle_ok(params["theta"]), f_dr1_grid(params["theta"]), math.nan)
+
+
+def _grid_n(params, mode):
+    return f_n_grid(params["theta"], params["b_plus"], params["j"], params["t"])
+
+
+def _grid_ab(params, mode):
+    return np.where(_pure_ok(params), f_ab_grid(params["theta"], params["b_plus"],
+                                                params["j"], params["t"]), math.nan)
+
+
+def _grid_so(params, mode):
+    return np.where(_pure_ok(params), f_so_grid(params["theta"], params["b_plus"],
+                                                params["j"], params["t"]), math.nan)
+
+
+def _mixed_grid(params, setup):
+    """Mixed-pair fidelities of every cell, stacked.
+
+    Cells are grouped by their parameters other than theta and s, and
+    ``setup(group_params) -> (model, correction or None)`` runs once per
+    group; a group whose setup raises, and cells outside the Gaussian
+    model's or the pair's range, are left ``nan``.
+    """
+    shape = np.broadcast_shapes(*(np.shape(v) for v in params.values()))
+    theta, s = (np.broadcast_to(params[k], shape) for k in ("theta", "s"))
+    keys = sorted(k for k in params if k not in ("theta", "s"))
+    groups = {}
+    columns = (np.broadcast_to(params[k], shape).tolist() for k in keys)
+    for cell, row in enumerate(zip(*columns)):
+        groups.setdefault(row, []).append(cell)
+    ok = _angle_ok(theta) & (s >= 0.0) & (np.asarray(params["t0"]) > 0.0)
+    out = np.full(shape, math.nan)
+    for row, cells in groups.items():
+        group = dict(zip(keys, row))
+        try:
+            model, u = setup(group)
+        except Exception:  # noqa: BLE001 - the scalar path reports these cells
+            continue
+        cells = np.array(cells)[ok[cells]]
+        out[cells] = pair_fidelity(initial_pair_grid(theta[cells]), spectrum(model),
+                                   group["t0"], s[cells, None, None], u)
+    return out
+
+
+def _grid_n_mix(params, mode):
+    pipeline = _mixed_grid(
+        params, lambda group: (params_from_bj(group["b_plus"], group["j"]), None))
+    closed = f_n_mix_closed(np, params["theta"], params["b_plus"], params["j"],
+                            params["t0"], params["s"])
+    return np.where(np.isnan(pipeline), math.nan, cross_checked(closed, pipeline))
+
+
+def _grid_f1(params, mode):
+    def setup(group):
+        p, n, m = _f1_inputs(group)
+        return p, f1_correction(p, group["t0"], n, m)
+    return _mixed_grid(params, setup)
+
+
+def _grid_f2(params, mode):
+    def setup(group):
+        fields, duration, n, m = _f2_inputs(group)
+        return fields, f2_correction(fields, group["t0"], duration, n, m)
+    return _mixed_grid(params, setup)
+
+
 @dataclass(frozen=True)
 class SchemeDef:
     params: tuple
     defaults: dict
     fn: object
+    grid: object = None         # optional array evaluator over all cells at once
 
 
 SCHEMES = {
-    "dr1": SchemeDef(("theta",), {}, _eval_dr1),
-    "n": SchemeDef(("theta", "b_plus", "j", "t"), {}, _eval_n),
-    "ab": SchemeDef(("theta", "b_plus", "j", "t"), {}, _eval_ab),
-    "so": SchemeDef(("theta", "b_plus", "j", "t"), {}, _eval_so),
+    "dr1": SchemeDef(("theta",), {}, _eval_dr1, _grid_dr1),
+    "n": SchemeDef(("theta", "b_plus", "j", "t"), {}, _eval_n, _grid_n),
+    "ab": SchemeDef(("theta", "b_plus", "j", "t"), {}, _eval_ab, _grid_ab),
+    "so": SchemeDef(("theta", "b_plus", "j", "t"), {}, _eval_so, _grid_so),
     "dr2": SchemeDef(("theta", "b_plus", "j", "t"), {}, _eval_dr2),
-    "n-mix": SchemeDef(("theta", "b_plus", "j", "t0", "s"), {}, _eval_n_mix),
+    "n-mix": SchemeDef(("theta", "b_plus", "j", "t0", "s"), {}, _eval_n_mix, _grid_n_mix),
     "f1": SchemeDef(("theta", "b_plus", "j", "t0", "s", "n", "m"),
-                    {"n": None, "m": None}, _eval_f1),
+                    {"n": None, "m": None}, _eval_f1, _grid_f1),
     "f2": SchemeDef(("theta", "b_plus", "j", "t0", "s", "T", "n", "m"),
-                    {"T": 1.0, "n": None, "m": None}, _eval_f2),
+                    {"T": 1.0, "n": None, "m": None}, _eval_f2, _grid_f2),
     "witness": SchemeDef(("theta", "b_plus", "j", "t0", "s", "state", "wi", "wj"),
                          {"state": 1, "wi": 0, "wj": 0}, _eval_witness),
     "schmidt": SchemeDef(("theta", "j", "t"), {}, _eval_schmidt),
@@ -220,28 +337,46 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     scheme = SCHEMES[spec.scheme]
     base = dict(scheme.defaults)
     base.update(spec.fixed)
+    base.pop("dummy", None)
+    base = {k: v for k, v in base.items() if v is not None}
     a1 = spec.axis1.values()
     a2 = spec.axis2.values()
+    names = (spec.axis1.name, spec.axis2.name)
 
     def evaluate(v1, v2):
         params = dict(base)
-        params[spec.axis1.name] = v1
-        params[spec.axis2.name] = v2
+        params.update(zip(names, (v1, v2)))
         params.pop("dummy", None)
-        params = {k: v for k, v in params.items() if v is not None}
+        converged = True
         try:
             out = scheme.fn(params, spec.mode)
             if isinstance(out, Fdr2Result):
-                return out.value, None, out.converged
-            return float(out), None, True
+                out, converged = out.value, out.converged
+            value = float(out)
         except Exception as exc:  # noqa: BLE001 - cell isolation is the contract
-            return (math.nan, f"{spec.axis1.name}={v1:.6g}, {spec.axis2.name}={v2:.6g}: {exc}",
-                    True)
+            value, error = math.nan, exc
+        else:
+            if math.isfinite(value):
+                return value, None, converged
+            error = f"non-finite value {value}"
+        return math.nan, f"{names[0]}={v1:.6g}, {names[1]}={v2:.6g}: {error}", True
 
     cells = [(v1, v2) for v1 in a1 for v2 in a2]
-    outcomes = [evaluate(v1, v2) for v1, v2 in cells]
+    values = np.full(len(cells), math.nan)
+    if scheme.grid is not None:
+        params = dict(base)
+        params.update(zip(names, np.meshgrid(a1, a2, indexing="ij")))
+        params = {k: np.ravel(v) if np.ndim(v) else v for k, v in params.items()
+                  if k != "dummy"}
+        try:
+            with np.errstate(all="ignore"):
+                values[:] = scheme.grid(params, spec.mode)
+        except Exception:  # noqa: BLE001 - every cell is re-run on the scalar path
+            values[:] = math.nan
+    redo = np.flatnonzero(~np.isfinite(values))
+    outcomes = [evaluate(*cells[k]) for k in redo]
+    values[redo] = [v for v, _, _ in outcomes]
 
-    values = np.array([v for v, _, _ in outcomes]).reshape(len(a1), len(a2))
     failures = tuple(msg for _, msg, _ in outcomes if msg is not None)
     unconverged = sum(not ok for _, _, ok in outcomes)
 
@@ -249,8 +384,9 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
         return f"{0.0 if v == 0.0 else v:.12g}"   # avoid '-0' rows
 
     lines = ["axis1,axis2,value"] + [f"{fmt(v1)},{fmt(v2)},{fmt(v)}"
-                                     for (v1, v2), (v, _, _) in zip(cells, outcomes)]
-    return SweepResult(csv_text="\n".join(lines) + "\n", values=values, failures=failures,
+                                     for (v1, v2), v in zip(cells, values.tolist())]
+    return SweepResult(csv_text="\n".join(lines) + "\n",
+                       values=values.reshape(len(a1), len(a2)), failures=failures,
                        unconverged=unconverged)
 
 

@@ -1,13 +1,17 @@
 import math
+from dataclasses import replace
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from isingcontrol.discrimination import f_dr1
 from isingcontrol.evolution import params_from_bj
 from isingcontrol.sweeps import (
     MAX_CELLS,
+    SCHEMES,
     Axis,
     SweepSpec,
     default_situation1_indices,
@@ -226,3 +230,71 @@ def test_preset_matches_checked_in_surface(name, spec):
         expected_axes, expected_value = expected.rsplit(",", 1)
         assert row.rsplit(",", 1)[0] == expected_axes
         assert abs(value - float(expected_value)) <= 1e-12
+
+
+# parameter ranges reaching past every scalar range check: theta outside
+# [0, pi/2], j outside [0, 1/2], t0 <= 0, s < 0, T <= 0, n pi <= t0
+VALUE_RANGES = {"theta": (-0.3, 1.9), "b_plus": (-3.0, 3.0), "j": (-0.1, 0.6),
+                "t": (-6.0, 6.0), "t0": (-1.0, 6.0), "s": (-0.2, 1.0), "T": (-0.5, 2.0),
+                "n": (-1, 3), "m": (-2, 2), "dummy": (0, 1)}
+GRID_SCHEMES = sorted(name for name, scheme in SCHEMES.items() if scheme.grid is not None)
+
+
+def draw_value(draw, name):
+    lo, hi = VALUE_RANGES[name]
+    if isinstance(lo, int) and draw(st.booleans()):
+        return draw(st.integers(lo, hi))
+    return draw(st.floats(lo, hi))
+
+
+@st.composite
+def grid_specs(draw):
+    scheme = draw(st.sampled_from(GRID_SCHEMES))
+    params, defaults = SCHEMES[scheme].params, SCHEMES[scheme].defaults
+    names = draw(st.lists(st.sampled_from(params + ("dummy",)), min_size=2, max_size=2,
+                          unique=True))
+    axes = [Axis(name, draw_value(draw, name), draw_value(draw, name),
+                 draw(st.integers(2, 4))) for name in names]
+    fixed = {name: draw_value(draw, name) for name in params
+             if name not in names and (name not in defaults or draw(st.booleans()))}
+    return SweepSpec(scheme=scheme, axis1=axes[0], axis2=axes[1], fixed=fixed)
+
+
+@settings(max_examples=300, deadline=None)
+@given(grid_specs())
+def test_array_path_matches_scalar_path(spec):
+    scheme = SCHEMES[spec.scheme]
+    fallback = []
+
+    def counted(params, mode):
+        fallback.append(params)
+        return scheme.fn(params, mode)
+
+    with mock.patch.dict(SCHEMES, {spec.scheme: replace(scheme, fn=counted)}):
+        grid = run_sweep(spec)
+    with mock.patch.dict(SCHEMES, {spec.scheme: replace(scheme, grid=None)}):
+        scalar = run_sweep(spec)
+    assert grid.failures == scalar.failures
+    np.testing.assert_allclose(grid.values, scalar.values, rtol=0, atol=1e-13)
+    # the scalar path re-ran exactly the failing cells
+    assert len(fallback) == len(grid.failures)
+
+
+def test_array_path_isolates_an_evaluator_that_raises():
+    spec = figure3_spec(steps=4)
+
+    def broken(params, mode):
+        raise RuntimeError("evaluator bug")
+
+    with mock.patch.dict(SCHEMES, {"so": replace(SCHEMES["so"], grid=broken)}):
+        fallback = run_sweep(spec)
+    assert fallback.csv_text == run_sweep(spec).csv_text
+
+
+def test_non_finite_value_is_a_failed_cell():
+    spec = SweepSpec(scheme="so", axis1=Axis("theta", 0.0, 1.0, 2),
+                     axis2=Axis("b_plus", 1e200, 2e200, 2), fixed={"j": 0.1, "t": 1e200})
+    result = run_sweep(spec)
+    assert np.isnan(result.values).all()
+    assert len(result.failures) == 4
+    assert all(msg.endswith("non-finite value nan") for msg in result.failures)
