@@ -61,13 +61,16 @@ def _arithmetic(node: ast.AST) -> float:
 
 
 def parse_number(text: str) -> float:
-    """Parse a float allowing pi/e arithmetic, e.g. 'pi/2' or '3*pi/4'."""
+    """Parse a finite float allowing pi/e arithmetic, e.g. 'pi/2' or '3*pi/4'."""
     if not set(text) <= _NUMBER_CHARS:
         raise argparse.ArgumentTypeError(f"cannot parse number {text!r}")
     try:
-        return float(_arithmetic(ast.parse(text.strip(), mode="eval").body))
+        value = float(_arithmetic(ast.parse(text.strip(), mode="eval").body))
     except Exception as exc:
         raise argparse.ArgumentTypeError(f"cannot parse number {text!r}: {exc}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"cannot parse number {text!r}: not finite")
+    return value
 
 
 def parse_axis(text: str) -> sweeps.Axis:

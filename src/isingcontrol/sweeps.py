@@ -51,6 +51,7 @@ FIGURE_T = math.pi / 2.0
 FIGURE_B_PLUS = 1.0
 FIGURE5_T0 = {"a": math.pi / 2.0, "b": 3.0 * math.pi / 4.0, "c": 7.0 * math.pi / 4.0}
 MAX_CELLS = 1_000_000
+_STACK_CELLS = 256          # cells per stacked block of 4x4 densities (64 KiB each)
 
 
 @dataclass(frozen=True)
@@ -270,9 +271,11 @@ def _mixed_grid(params, setup):
             model, u = setup(group)
         except Exception:  # noqa: BLE001 - the scalar path reports these cells
             continue
+        eigensystem = spectrum(model)
         cells = np.array(cells)[ok[cells]]
-        out[cells] = pair_fidelity(initial_pair_grid(theta[cells]), spectrum(model),
-                                   group["t0"], s[cells, None, None], u)
+        for block in np.split(cells, range(_STACK_CELLS, len(cells), _STACK_CELLS)):
+            out[block] = pair_fidelity(initial_pair_grid(theta[block]), eigensystem,
+                                       group["t0"], s[block, None, None], u)
     return out
 
 

@@ -35,6 +35,12 @@ class TestParsing:
         assert parse_number(" -pi / 2 ") == -math.pi / 2
         assert parse_number("2*(e-1)") == 2 * (math.e - 1)
 
+    @pytest.mark.parametrize("text", ["1e999", "-1e999", "1e308*10", "1e999-1e999"])
+    def test_parse_number_rejects_non_finite(self, text):
+        import argparse
+        with pytest.raises(argparse.ArgumentTypeError, match="not finite"):
+            parse_number(text)
+
     def test_parse_axis(self):
         axis = parse_axis("theta:0:pi/2:25")
         assert axis.name == "theta"
@@ -110,6 +116,25 @@ class TestSurfaceCommand:
         captured = capsys.readouterr()
         assert "nan" in captured.out
         assert "failed numerically" in captured.err
+
+    @pytest.mark.parametrize("value", ["1e999", "-1e999"])
+    def test_non_finite_fixed_value_exits_2(self, value, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(["surface", "--scheme", "n", "--axis1", "theta:0:1:2",
+                  "--axis2", "b_plus:0:1:2", "--fix", "j=0.1", "--fix", f"t={value}"])
+        assert err.value.code == 2
+        assert "not finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("scheme", ["so", "ab"])
+    def test_non_finite_cell_value_exits_3(self, scheme, capsys):
+        # b_plus * t overflows, so the propagator phases are nan in every cell
+        code = main(["surface", "--scheme", scheme, "--axis1", "theta:0:1:2",
+                     "--axis2", "b_plus:1e200:2e200:2", "--fix", "j=0.1", "--fix", "t=1e200"])
+        assert code == 3
+        captured = capsys.readouterr()
+        assert [line.rsplit(",", 1)[1] for line in captured.out.split()[1:]] == ["nan"] * 4
+        assert "4 cell(s) failed numerically" in captured.err
+        assert captured.err.count("non-finite value nan") == 4
 
     @pytest.mark.parametrize("scheme", ["f1", "f2", "n-mix"])
     def test_negative_mean_duration_exits_3(self, scheme, capsys):

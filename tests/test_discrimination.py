@@ -228,6 +228,12 @@ class TestClosedFormSchemes:
             assert v >= f_dr1(theta) - 1e-15
             assert v >= f_ab(theta, 1.0, 1 / 6, math.pi / 2) - 1e-15
 
+    def test_f_so_propagates_nan_from_f_ab(self):
+        # b+ t overflows: F_AB is nan, and max(F_DR1, nan) must not hide it
+        with np.errstate(invalid="ignore"):
+            assert math.isnan(f_ab(0.0, 1e200, 0.1, 1e200))
+            assert math.isnan(f_so(0.0, 1e200, 0.1, 1e200))
+
     def test_zero_field_no_distortion(self):
         # b+ = 0, j = 1/2 leaves both states invariant up to phase
         for theta in (0.3, 1.0):
