@@ -224,12 +224,6 @@ def _angle_ok(theta):
     return (0.0 <= theta) & (theta <= math.pi / 2)
 
 
-def _pure_ok(params):
-    """Cells that pass initial_pair and params_from_bj."""
-    return _angle_ok(params["theta"]) & (0.0 <= params["j"]) & (params["j"] <= 0.5) \
-        & np.isfinite(params["b_plus"])
-
-
 def _grid_dr1(params, mode):
     return np.where(_angle_ok(params["theta"]), f_dr1_grid(params["theta"]), math.nan)
 
@@ -238,14 +232,14 @@ def _grid_n(params, mode):
     return f_n_grid(params["theta"], params["b_plus"], params["j"], params["t"])
 
 
-def _grid_ab(params, mode):
-    return np.where(_pure_ok(params), f_ab_grid(params["theta"], params["b_plus"],
-                                                params["j"], params["t"]), math.nan)
-
-
-def _grid_so(params, mode):
-    return np.where(_pure_ok(params), f_so_grid(params["theta"], params["b_plus"],
-                                                params["j"], params["t"]), math.nan)
+def _pure_grid(kernel):
+    """Array evaluator of a pipeline scheme over (theta, b+, j, t); nan for
+    the cells that initial_pair or params_from_bj reject."""
+    def grid(params, mode):
+        theta, b_plus, j, t = (params[k] for k in ("theta", "b_plus", "j", "t"))
+        ok = _angle_ok(theta) & (0.0 <= j) & (j <= 0.5) & np.isfinite(b_plus)
+        return np.where(ok, kernel(theta, b_plus, j, t), math.nan)
+    return grid
 
 
 def _mixed_grid(params, setup):
@@ -269,7 +263,7 @@ def _mixed_grid(params, setup):
         group = dict(zip(keys, row))
         try:
             model, u = setup(group)
-        except Exception:  # noqa: BLE001 - the scalar path reports these cells
+        except (ValueError, ArithmeticError):  # the scalar path reports these cells
             continue
         eigensystem = spectrum(model)
         cells = np.array(cells)[ok[cells]]
@@ -312,8 +306,8 @@ class SchemeDef:
 SCHEMES = {
     "dr1": SchemeDef(("theta",), {}, _eval_dr1, _grid_dr1),
     "n": SchemeDef(("theta", "b_plus", "j", "t"), {}, _eval_n, _grid_n),
-    "ab": SchemeDef(("theta", "b_plus", "j", "t"), {}, _eval_ab, _grid_ab),
-    "so": SchemeDef(("theta", "b_plus", "j", "t"), {}, _eval_so, _grid_so),
+    "ab": SchemeDef(("theta", "b_plus", "j", "t"), {}, _eval_ab, _pure_grid(f_ab_grid)),
+    "so": SchemeDef(("theta", "b_plus", "j", "t"), {}, _eval_so, _pure_grid(f_so_grid)),
     "dr2": SchemeDef(("theta", "b_plus", "j", "t"), {}, _eval_dr2),
     "n-mix": SchemeDef(("theta", "b_plus", "j", "t0", "s"), {}, _eval_n_mix, _grid_n_mix),
     "f1": SchemeDef(("theta", "b_plus", "j", "t0", "s", "n", "m"),
