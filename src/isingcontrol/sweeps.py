@@ -332,26 +332,25 @@ class SweepResult:
 def run_sweep(spec: SweepSpec) -> SweepResult:
     """Evaluate the scheme over the grid and serialize the CSV document."""
     scheme = SCHEMES[spec.scheme]
-    base = dict(scheme.defaults)
-    base.update(spec.fixed)
-    base.pop("dummy", None)
-    base = {k: v for k, v in base.items() if v is not None}
+    base = {k: v for k, v in {**scheme.defaults, **spec.fixed}.items() if v is not None}
     a1 = spec.axis1.values()
     a2 = spec.axis2.values()
     names = (spec.axis1.name, spec.axis2.name)
 
-    def evaluate(v1, v2):
-        params = dict(base)
-        params.update(zip(names, (v1, v2)))
+    def with_axes(v1, v2):
+        params = {**base, names[0]: v1, names[1]: v2}
         params.pop("dummy", None)
+        return params
+
+    def evaluate(v1, v2):
         converged = True
         try:
-            out = scheme.fn(params, spec.mode)
+            out = scheme.fn(with_axes(v1, v2), spec.mode)
             if isinstance(out, Fdr2Result):
                 out, converged = out.value, out.converged
             value = float(out)
         except Exception as exc:  # noqa: BLE001 - cell isolation is the contract
-            value, error = math.nan, exc
+            error = exc
         else:
             if math.isfinite(value):
                 return value, None, converged
@@ -361,15 +360,12 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     cells = [(v1, v2) for v1 in a1 for v2 in a2]
     values = np.full(len(cells), math.nan)
     if scheme.grid is not None:
-        params = dict(base)
-        params.update(zip(names, np.meshgrid(a1, a2, indexing="ij")))
-        params = {k: np.ravel(v) if np.ndim(v) else v for k, v in params.items()
-                  if k != "dummy"}
+        g1, g2 = (g.ravel() for g in np.meshgrid(a1, a2, indexing="ij"))
         try:
             with np.errstate(all="ignore"):
-                values[:] = scheme.grid(params, spec.mode)
-        except Exception:  # noqa: BLE001 - every cell is re-run on the scalar path
-            values[:] = math.nan
+                values[:] = scheme.grid(with_axes(g1, g2), spec.mode)
+        except Exception:  # noqa: BLE001 - the cells stay nan and re-run below
+            pass
     redo = np.flatnonzero(~np.isfinite(values))
     outcomes = [evaluate(*cells[k]) for k in redo]
     values[redo] = [v for v, _, _ in outcomes]
