@@ -25,8 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .evolution import propagate, propagator_entries
-from .states import evolved_pair_bj, initial_pair, initial_pair_grid
+from .evolution import b_minus_magnitude, propagate, propagator_entries
+from .states import check_angle, evolved_pair_bj, initial_pair, initial_pair_grid
 
 
 @dataclass(frozen=True)
@@ -86,17 +86,24 @@ def fold_angles(theta1: float, theta2: float, alpha1: float, alpha2: float) -> L
     return LocalPovm(t1, t2, a1, a2)
 
 
-def _single_qubit_pair(theta: float, alpha: float) -> tuple[np.ndarray, np.ndarray]:
-    c, s = math.cos(theta / 2.0), math.sin(theta / 2.0)
-    e = np.exp(1j * alpha)
-    return np.array([c, e * s]), np.array([s, -e * c])
-
-
 def povm_states(povm: LocalPovm) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The four product outcome states, ordered (d1 d2, e1 e2, d1 e2, e1 d2)."""
-    d1, e1 = _single_qubit_pair(povm.theta1, povm.alpha1)
-    d2, e2 = _single_qubit_pair(povm.theta2, povm.alpha2)
-    return (np.kron(d1, d2), np.kron(e1, e2), np.kron(d1, e2), np.kron(e1, d2))
+    return _product_outcomes(math, *povm.angles())
+
+
+def _product_outcomes(xp, theta1, theta2, alpha1, alpha2):
+    """:func:`povm_states` from the angles, with the cos and sin of ``xp``:
+    math for one measurement, numpy for arrays of angles (states (..., 4))."""
+    d1, e1 = _single_qubit_pair(xp, theta1, alpha1)
+    d2, e2 = _single_qubit_pair(xp, theta2, alpha2)
+    return tuple((a[..., :, None] * b[..., None, :]).reshape(*a.shape[:-1], 4)
+                 for a, b in ((d1, d2), (e1, e2), (d1, e2), (e1, d2)))
+
+
+def _single_qubit_pair(xp, theta, alpha):
+    c, s = xp.cos(theta / 2.0), xp.sin(theta / 2.0)
+    e = np.exp(1j * alpha)
+    return np.stack([c, e * s], axis=-1), np.stack([s, -e * c], axis=-1)
 
 
 def _weight(outcome: np.ndarray, state_or_rho: np.ndarray) -> float:
@@ -169,8 +176,7 @@ def _overlaps(a, b):
 
 def f_dr1(theta: float) -> float:
     """Discriminate-and-reprepare with the computational basis: (1 + sin^2 theta)/2."""
-    if not 0.0 <= theta <= math.pi / 2:
-        raise ValueError(f"theta must lie in [0, pi/2], got {theta}")
+    check_angle(theta)
     return _dr1(math.sin(theta))
 
 
@@ -225,14 +231,19 @@ def table1_povm(theta: float, variant: str) -> LocalPovm:
     phases; variant B uses (pi + 2 theta)/4 with the sign pattern encoded
     as alpha = pi.
     """
-    if not 0.0 <= theta <= math.pi / 2:
-        raise ValueError(f"theta must lie in [0, pi/2], got {theta}")
+    check_angle(theta)
+    return LocalPovm(*_table1_angles(theta, variant))
+
+
+def _table1_angles(theta, variant: str) -> tuple:
+    """(theta1, theta2, alpha1, alpha2) of :func:`table1_povm`, unchecked;
+    theta may be an array."""
     if variant == "A":
         ang = (math.pi - 2.0 * theta) / 2.0
-        return LocalPovm(ang, ang, 0.0, 0.0)
+        return ang, ang, 0.0, 0.0
     if variant == "B":
         ang = (math.pi + 2.0 * theta) / 2.0
-        return LocalPovm(ang, ang, math.pi, math.pi)
+        return ang, ang, math.pi, math.pi
     raise ValueError(f"variant must be 'A' or 'B', got {variant!r}")
 
 
@@ -252,17 +263,12 @@ def f_ab(theta: float, b_plus: float, j: float, t: float) -> float:
 
 def f_ab_grid(theta, b_plus, j, t) -> np.ndarray:
     """:func:`f_ab` over arrays of cells: the stacked pair is propagated by
-    the five propagator entries and scored with the variant-A measurement,
-    whose outcome vectors are real."""
+    the five propagator entries and scored with the stacked variant-A
+    measurements."""
     originals = initial_pair_grid(theta)
-    b_minus = np.sqrt(np.maximum(0.0, 1.0 - 4.0 * j * j))      # as params_from_bj
-    entries = propagator_entries(b_plus, b_minus, j, t)
+    entries = propagator_entries(b_plus, b_minus_magnitude(j), j, t)
     distorted = [propagate(entries, beta) for beta in originals]
-    half = (math.pi - 2.0 * theta) / 2.0 / 2.0                  # table1_povm "A"
-    c, s = np.cos(half), np.sin(half)
-    d, e = np.stack([c, s], axis=-1), np.stack([s, -c], axis=-1)
-    outcomes = [(a[..., :, None] * b[..., None, :]).reshape(*a.shape[:-1], 4)
-                for a, b in ((d, d), (e, e), (d, e), (e, d))]
+    outcomes = _product_outcomes(np, *_table1_angles(theta, "A"))
     p1, p2 = _votes(outcomes, distorted[0], distorted[1], _overlaps)
     return _average(p1, p2, originals, originals, _overlaps)
 
@@ -285,8 +291,7 @@ def critical_fidelities(theta: float) -> tuple[float, ...]:
         0, (1 - sin theta)/2, (1 - sin^2 theta)/2, 1/2,
         (1 + sin^2 theta)/2, (1 + sin theta)/2, 1.
     """
-    if not 0.0 <= theta <= math.pi / 2:
-        raise ValueError(f"theta must lie in [0, pi/2], got {theta}")
+    check_angle(theta)
     s = math.sin(theta)
     return tuple(sorted((
         0.0,

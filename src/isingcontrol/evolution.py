@@ -78,7 +78,7 @@ class IsingParams:
     def __post_init__(self):
         if not all(np.isfinite(v) for v in (self.b_plus, self.b_minus, self.j, self.scale)):
             raise ValueError("IsingParams entries must be finite")
-        if not 0.0 <= self.j <= 0.5:
+        if not coupling_in_range(self.j):
             raise ValueError(f"j must lie in [0, 1/2], got {self.j}")
         if abs(self.b_minus) > 1.0 + CONSTRAINT_TOL:
             raise ValueError(f"b_minus must lie in [-1, 1], got {self.b_minus}")
@@ -90,11 +90,23 @@ class IsingParams:
             raise ValueError(f"scale must be positive, got {self.scale}")
 
 
+def coupling_in_range(j):
+    """Whether the rescaled coupling j lies in [0, 1/2] (False for nan);
+    elementwise for arrays."""
+    return (0.0 <= j) & (j <= 0.5)
+
+
+def b_minus_magnitude(j):
+    """|b-| = sqrt(1 - 4 j^2), fixed by the constraint (0 beyond j = 1/2);
+    takes floats or arrays."""
+    return np.sqrt(np.maximum(0.0, 1.0 - 4.0 * j * j))
+
+
 def params_from_bj(b_plus: float, j: float, b_minus_sign: float = 1.0) -> IsingParams:
     """Build normalized parameters from (b+, j), fixing |b-| by the constraint."""
-    if not 0.0 <= j <= 0.5:
+    if not coupling_in_range(j):
         raise ValueError(f"j must lie in [0, 1/2], got {j}")
-    b_minus = np.copysign(np.sqrt(max(0.0, 1.0 - 4.0 * j * j)), b_minus_sign)
+    b_minus = np.copysign(b_minus_magnitude(j), b_minus_sign)
     return IsingParams(b_plus=b_plus, b_minus=float(b_minus), j=j)
 
 

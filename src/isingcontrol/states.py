@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .evolution import IsingParams, evolution_closed_form, params_from_bj
+from .evolution import IsingParams, coupling_in_range, evolution_closed_form, params_from_bj
 from .linalg import hermitian_eigenvalues, projector, trace_norm
 
 SCHMIDT_CLAMP_TOL = 1e-9
@@ -38,10 +38,20 @@ def bell(i: int, j: int) -> np.ndarray:
     return v / math.sqrt(2.0)
 
 
+def angle_in_range(theta):
+    """Whether theta lies in [0, pi/2] (False for nan); elementwise for arrays."""
+    return (0.0 <= theta) & (theta <= math.pi / 2)
+
+
+def check_angle(theta: float) -> None:
+    """Raise unless theta lies in [0, pi/2]."""
+    if not angle_in_range(theta):
+        raise ValueError(f"theta must lie in [0, pi/2], got {theta}")
+
+
 def initial_pair(theta: float) -> tuple[np.ndarray, np.ndarray]:
     """The two candidate preparations (beta1, beta2) at mixing angle theta."""
-    if not 0.0 <= theta <= math.pi / 2:
-        raise ValueError(f"theta must lie in [0, pi/2], got {theta}")
+    check_angle(theta)
     return _pair(math.sin(theta), math.cos(theta))
 
 
@@ -57,8 +67,7 @@ def _pair(sin_theta, cos_theta):
 
 def pair_from_local_bases(theta: float) -> tuple[np.ndarray, np.ndarray]:
     """Same pair built from the rotated single-qubit bases (consistency route)."""
-    if not 0.0 <= theta <= math.pi / 2:
-        raise ValueError(f"theta must lie in [0, pi/2], got {theta}")
+    check_angle(theta)
     h = theta / 2.0
     phi = np.array([math.cos(h), math.sin(h)])
     eta = np.array([math.sin(h), -math.cos(h)])
@@ -134,9 +143,8 @@ def schmidt_closed_form(theta: float, j: float, t: float) -> SchmidtResult:
     argument is clamped to [0, 1]; excursions beyond SCHMIDT_CLAMP_TOL
     raise, since they signal a transcription bug rather than float noise.
     """
-    if not 0.0 <= theta <= math.pi / 2:
-        raise ValueError(f"theta must lie in [0, pi/2], got {theta}")
-    if not 0.0 <= j <= 0.5:
+    check_angle(theta)
+    if not coupling_in_range(j):
         raise ValueError(f"j must lie in [0, 1/2], got {j}")
     a0 = 16.0 * j**2 * (1.0 - 4.0 * j**2) * math.sin(t) ** 4   # = 1 - |Z|^2
     a_term = a0 * math.sin(theta) ** 4

@@ -56,6 +56,16 @@ class FormulaDeviationWarning(UserWarning):
     """A printed closed form disagreed with the numerical pipeline."""
 
 
+def mean_in_range(t0):
+    """Whether t0 > 0 is a valid mean duration; elementwise for arrays."""
+    return t0 > 0
+
+
+def spread_in_range(s):
+    """Whether s >= 0 is a valid spread (False for nan); elementwise for arrays."""
+    return s >= 0
+
+
 @dataclass(frozen=True)
 class GaussianTime:
     """Normal duration model: mean t0 > 0, spread s >= 0."""
@@ -64,9 +74,9 @@ class GaussianTime:
     s: float
 
     def __post_init__(self):
-        if not self.t0 > 0:
+        if not mean_in_range(self.t0):
             raise ValueError(f"mean duration must be positive, got {self.t0}")
-        if self.s < 0:
+        if not spread_in_range(self.s):
             raise ValueError(f"spread must be >= 0, got {self.s}")
 
     @property
@@ -215,20 +225,24 @@ def f_n_mix(theta: float, b_plus: float, j: float, t0: float, s: float) -> float
 
 def f_n_mix_closed(xp, theta, b_plus, j, t0, s):
     """The closed form of :func:`f_n_mix`, with the elementary functions of
-    ``xp``: math for one cell, numpy for arrays of cells."""
+    ``xp``: math for one cell, numpy for arrays of cells.  Squares are
+    products, so a huge w s gives exp(-inf) = 0 on both backends where
+    math's ``** 2`` would raise OverflowError."""
     c2 = xp.cos(theta) ** 2
     s2t = xp.sin(theta) ** 2
     jj4 = 4.0 * j * j
+    bs = b_plus * s
 
     def damped_cos(w):
-        return xp.exp(-0.5 * (w * s) ** 2) * xp.cos(w * t0)
+        ws = w * s
+        return xp.exp(-0.5 * (ws * ws)) * xp.cos(w * t0)
 
     g_n = ((1.0 - 2.0 * j) * (damped_cos(1.0 + b_plus + 2.0 * j)
                               + damped_cos(1.0 - b_plus + 2.0 * j))
            + (1.0 + 2.0 * j) * (damped_cos(1.0 + b_plus - 2.0 * j)
                                 + damped_cos(1.0 - b_plus - 2.0 * j)))
     return 0.25 * (
-        (1.0 + xp.exp(-2.0 * (b_plus * s) ** 2) * xp.cos(2.0 * b_plus * t0)) * (1.0 + c2 * c2)
+        (1.0 + xp.exp(-2.0 * (bs * bs)) * xp.cos(2.0 * b_plus * t0)) * (1.0 + c2 * c2)
         + g_n * c2 * s2t
         + ((1.0 + jj4) + (1.0 - jj4) * xp.exp(-2.0 * s * s) * xp.cos(2.0 * t0)) * s2t * s2t
     )

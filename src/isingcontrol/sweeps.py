@@ -30,9 +30,16 @@ from .discrimination import (
     f_so,
     f_so_grid,
 )
-from .evolution import IsingParams, PhysicalFields, params_from_bj, spectrum
+from .evolution import (
+    IsingParams,
+    PhysicalFields,
+    b_minus_magnitude,
+    coupling_in_range,
+    params_from_bj,
+    spectrum,
+)
 from .optimize import OBJECTIVE_MODES, Fdr2Result, OptimizerSettings, optimize_fdr2
-from .states import initial_pair_grid, schmidt_closed_form
+from .states import angle_in_range, initial_pair_grid, schmidt_closed_form
 from .stochastic import (
     GaussianTime,
     cross_checked,
@@ -42,7 +49,9 @@ from .stochastic import (
     f2_correction,
     f_n_mix,
     f_n_mix_closed,
+    mean_in_range,
     pair_fidelity,
+    spread_in_range,
     witness_table,
 )
 
@@ -110,7 +119,7 @@ class SweepSpec:
 
 def fields_from_bj(b_plus: float, j: float) -> PhysicalFields:
     """Physical fields with unit scale for given (b+, j); b- taken positive."""
-    b_minus = math.sqrt(max(0.0, 1.0 - 4.0 * j * j))
+    b_minus = float(b_minus_magnitude(j))
     return PhysicalFields(b1=(b_plus + b_minus) / 2.0, b2=(b_plus - b_minus) / 2.0, j=j)
 
 
@@ -220,12 +229,8 @@ def _eval_f_curve(params, mode):
     return phi - phi_prime - 4.0 * j * t
 
 
-def _angle_ok(theta):
-    return (0.0 <= theta) & (theta <= math.pi / 2)
-
-
 def _grid_dr1(params, mode):
-    return np.where(_angle_ok(params["theta"]), f_dr1_grid(params["theta"]), math.nan)
+    return np.where(angle_in_range(params["theta"]), f_dr1_grid(params["theta"]), math.nan)
 
 
 def _grid_n(params, mode):
@@ -234,10 +239,11 @@ def _grid_n(params, mode):
 
 def _pure_grid(kernel):
     """Array evaluator of a pipeline scheme over (theta, b+, j, t); nan for
-    the cells that initial_pair or params_from_bj reject."""
+    the cells that initial_pair or params_from_bj reject (a non-finite b+
+    makes the kernel's value nan by itself)."""
     def grid(params, mode):
         theta, b_plus, j, t = (params[k] for k in ("theta", "b_plus", "j", "t"))
-        ok = _angle_ok(theta) & (0.0 <= j) & (j <= 0.5) & np.isfinite(b_plus)
+        ok = angle_in_range(theta) & coupling_in_range(j)
         return np.where(ok, kernel(theta, b_plus, j, t), math.nan)
     return grid
 
@@ -253,11 +259,15 @@ def _mixed_grid(params, setup):
     shape = np.broadcast_shapes(*(np.shape(v) for v in params.values()))
     theta, s = (np.broadcast_to(params[k], shape) for k in ("theta", "s"))
     keys = sorted(k for k in params if k not in ("theta", "s"))
+    # a group's values have the scalar path's types: numpy scalars from an
+    # axis, fixed values as given (numpy and Python floats overflow and
+    # divide by zero differently)
+    columns = [np.broadcast_to(v, shape) if np.ndim(v) else [v] * shape[0]
+               for v in (params[k] for k in keys)]
     groups = {}
-    columns = (np.broadcast_to(params[k], shape).tolist() for k in keys)
     for cell, row in enumerate(zip(*columns)):
         groups.setdefault(row, []).append(cell)
-    ok = _angle_ok(theta) & (s >= 0.0) & (np.asarray(params["t0"]) > 0.0)
+    ok = angle_in_range(theta) & mean_in_range(params["t0"]) & spread_in_range(s)
     out = np.full(shape, math.nan)
     for row, cells in groups.items():
         group = dict(zip(keys, row))

@@ -25,6 +25,7 @@ from isingcontrol.stochastic import (
     f2,
     f2_printed,
     f_n_mix,
+    f_n_mix_closed,
     f_n_mix_pipeline,
     gaussian_mixed_state,
     quadrature_oracle,
@@ -45,6 +46,8 @@ class TestGaussianTime:
             GaussianTime(0.0, 0.1)
         with pytest.raises(ValueError, match=">= 0"):
             GaussianTime(1.0, -0.1)
+        with pytest.raises(ValueError, match=">= 0"):
+            GaussianTime(1.0, math.nan)
 
     def test_validity_flag(self):
         assert GaussianTime(3.0, 1.0).is_model_valid
@@ -157,6 +160,18 @@ class TestFnMix:
 
     def test_broad_limit_cap(self):
         assert f_n_mix(math.pi / 2, 1.0, 0.5, math.pi / 2, 1e3) == pytest.approx(0.75)
+
+    def test_huge_field_damps_instead_of_overflowing(self):
+        # (b+ s)^2 overflows a float: the damped terms vanish on both backends
+        args = (0.7, 1e160, J6, 1.0, 0.3)
+        scalar = f_n_mix_closed(math, *args)
+        assert scalar == f_n_mix_closed(np, *args)
+        assert f_n_mix(*args) == scalar
+        c2, s2 = math.cos(0.7) ** 2, math.sin(0.7) ** 2
+        jj4 = 4.0 * J6 * J6
+        undamped = 0.25 * ((1.0 + c2 * c2) + ((1.0 + jj4) + (1.0 - jj4) * math.exp(-0.18)
+                                              * math.cos(2.0)) * s2 * s2)
+        assert scalar == pytest.approx(undamped, abs=1e-15)
 
     def test_matches_pipeline(self):
         rng = np.random.default_rng(5)

@@ -237,11 +237,15 @@ def test_preset_matches_checked_in_surface(name, spec):
 VALUE_RANGES = {"theta": (-0.3, 1.9), "b_plus": (-3.0, 3.0), "j": (-0.1, 0.6),
                 "t": (-6.0, 6.0), "t0": (-1.0, 6.0), "s": (-0.2, 1.0), "T": (-0.5, 2.0),
                 "n": (-1, 3), "m": (-2, 2), "dummy": (0, 1)}
+# magnitudes whose squares and products overflow a float
+HUGE_VALUES = {name: (-1e160, 1e160) for name in ("b_plus", "t", "t0", "s")}
 GRID_SCHEMES = sorted(name for name, scheme in SCHEMES.items() if scheme.grid is not None)
 
 
 def draw_value(draw, name):
     lo, hi = VALUE_RANGES[name]
+    if name in HUGE_VALUES and draw(st.integers(0, 5)) == 0:
+        return draw(st.sampled_from(HUGE_VALUES[name]))
     if isinstance(lo, int) and draw(st.booleans()):
         return draw(st.integers(lo, hi))
     return draw(st.floats(lo, hi))
