@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .evolution import b_minus_magnitude, propagate, propagator_entries
+from .evolution import b_minus_magnitude, check_coupling, propagate, propagator_entries
 from .states import check_angle, evolved_pair_bj, initial_pair, initial_pair_grid
 
 
@@ -218,10 +218,18 @@ def _f_n(xp, theta, b_plus, j, t):
 
 
 def f_n_pipeline(theta: float, b_plus: float, j: float, t: float) -> float:
-    """Do-nothing fidelity evaluated from the evolved states directly."""
-    b1, b2 = initial_pair(theta)
-    b1p, b2p = evolved_pair_bj(theta, b_plus, j, t)
-    return 0.5 * (state_fidelity(b1, b1p) + state_fidelity(b2, b2p))
+    """Do-nothing fidelity evaluated from the evolved states directly.
+
+    The arguments may be arrays that broadcast against each other: the pair
+    is then propagated stacked, by the route of :func:`f_ab_grid`.  Raises
+    if any theta or j is out of range; a non-finite b+ or t gives nan.
+    """
+    check_angle(theta)
+    check_coupling(j)
+    originals = initial_pair_grid(theta)
+    entries = propagator_entries(b_plus, b_minus_magnitude(j), j, t)
+    stay1, stay2 = (_overlaps(beta, propagate(entries, beta)) for beta in originals)
+    return 0.5 * (stay1 + stay2)
 
 
 def table1_povm(theta: float, variant: str) -> LocalPovm:

@@ -36,7 +36,11 @@ CONSTRAINT_TOL = 1e-12
 
 @dataclass(frozen=True)
 class PhysicalFields:
-    """Raw field strengths: local z-fields b1, b2 and Ising coupling j >= 0."""
+    """Raw field strengths: local z-fields b1, b2 and Ising coupling j >= 0.
+
+    The fields may also be arrays of one shape, a stack of models for
+    :func:`hamiltonian` and :func:`evolution_oracle`.
+    """
 
     b1: float
     b2: float
@@ -44,9 +48,9 @@ class PhysicalFields:
 
     def __post_init__(self):
         for name in ("b1", "b2", "j"):
-            if not np.isfinite(getattr(self, name)):
+            if not holds(np.isfinite(getattr(self, name))):
                 raise ValueError(f"field {name} must be finite")
-        if self.j < 0:
+        if not holds(self.j >= 0):
             raise ValueError(f"Ising coupling must be >= 0, got {self.j}")
 
     @property
@@ -78,8 +82,7 @@ class IsingParams:
     def __post_init__(self):
         if not all(np.isfinite(v) for v in (self.b_plus, self.b_minus, self.j, self.scale)):
             raise ValueError("IsingParams entries must be finite")
-        if not coupling_in_range(self.j):
-            raise ValueError(f"j must lie in [0, 1/2], got {self.j}")
+        check_coupling(self.j)
         if abs(self.b_minus) > 1.0 + CONSTRAINT_TOL:
             raise ValueError(f"b_minus must lie in [-1, 1], got {self.b_minus}")
         viol = abs(self.b_minus**2 + 4.0 * self.j**2 - 1.0)
@@ -90,10 +93,21 @@ class IsingParams:
             raise ValueError(f"scale must be positive, got {self.scale}")
 
 
+def holds(flags) -> bool:
+    """Whether a predicate holds: a bool, or every entry of a boolean array."""
+    return bool(flags.all() if isinstance(flags, np.ndarray) else flags)
+
+
 def coupling_in_range(j):
     """Whether the rescaled coupling j lies in [0, 1/2] (False for nan);
     elementwise for arrays."""
     return (0.0 <= j) & (j <= 0.5)
+
+
+def check_coupling(j) -> None:
+    """Raise unless j lies in [0, 1/2] (every entry, for an array)."""
+    if not holds(coupling_in_range(j)):
+        raise ValueError(f"j must lie in [0, 1/2], got {j}")
 
 
 def b_minus_magnitude(j):
@@ -104,8 +118,7 @@ def b_minus_magnitude(j):
 
 def params_from_bj(b_plus: float, j: float, b_minus_sign: float = 1.0) -> IsingParams:
     """Build normalized parameters from (b+, j), fixing |b-| by the constraint."""
-    if not coupling_in_range(j):
-        raise ValueError(f"j must lie in [0, 1/2], got {j}")
+    check_coupling(j)
     b_minus = np.copysign(b_minus_magnitude(j), b_minus_sign)
     return IsingParams(b_plus=b_plus, b_minus=float(b_minus), j=j)
 
@@ -131,14 +144,16 @@ def normalize_fields(fields: PhysicalFields) -> IsingParams:
 
 def hamiltonian(m: PhysicalFields | IsingParams) -> np.ndarray:
     """4x4 Hamiltonian matrix in the computational basis; for ``IsingParams``
-    it is in units of R and generates the dynamics in rescaled time."""
-    bp, bm, j = m.b_plus, m.b_minus, m.j
-    return np.array([
-        [bp - j, 0.0, 0.0, 0.0],
-        [0.0, j + bm, -2.0 * j, 0.0],
-        [0.0, -2.0 * j, j - bm, 0.0],
-        [0.0, 0.0, 0.0, -(bp + j)],
-    ], dtype=complex)
+    it is in units of R and generates the dynamics in rescaled time.
+    Stacked fields give the stack (..., 4, 4) of their Hamiltonians."""
+    bp, bm, j = np.broadcast_arrays(m.b_plus, m.b_minus, m.j)
+    h = np.zeros(bp.shape + (4, 4), dtype=complex)
+    h[..., 0, 0] = bp - j
+    h[..., 1, 1] = j + bm
+    h[..., 1, 2] = h[..., 2, 1] = -2.0 * j
+    h[..., 2, 2] = j - bm
+    h[..., 3, 3] = -(bp + j)
+    return h
 
 
 def spectrum(m: PhysicalFields | IsingParams) -> tuple[np.ndarray, np.ndarray]:
@@ -207,11 +222,14 @@ def propagate(entries: tuple, state: np.ndarray) -> np.ndarray:
         u00 * s0, u11 * s1 + u12 * s2, u12 * s1 + u22 * s2, u33 * s3), axis=-1)
 
 
-def evolution_oracle(fields: PhysicalFields, t: float) -> np.ndarray:
+def evolution_oracle(fields: PhysicalFields, t) -> np.ndarray:
     """exp(-i H t) by spectral decomposition of the physical Hamiltonian.
 
     Independent cross-check of the closed form; also covers the degenerate
-    R = 0 case, which needs no normalization.
+    R = 0 case, which needs no normalization.  Stacked fields and an array
+    of times broadcast against each other, giving a stack (..., 4, 4) from
+    one stacked eigh.
     """
     energies, vectors = np.linalg.eigh(hamiltonian(fields))
-    return (vectors * np.exp(-1j * energies * t)) @ dag(vectors)
+    phases = np.exp(-1j * energies * np.asarray(t)[..., None])
+    return (vectors * phases[..., None, :]) @ dag(vectors)

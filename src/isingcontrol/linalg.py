@@ -2,9 +2,10 @@
 
 Everything operates on plain numpy arrays: state vectors are complex
 ``(4,)`` (or ``(2,)``) arrays, operators are complex ``(4, 4)`` or ``(2, 2)``
-arrays in the computational basis ``{|00>, |01>, |10>, |11>}``; ``dag`` and
-``projector`` also take stacks of them along leading axes.  All functions
-are pure; nothing here mutates its inputs.
+arrays in the computational basis ``{|00>, |01>, |10>, |11>}``; ``dag``,
+``projector``, ``require_hermitian`` and ``hermitian_eigenvalues`` also take
+stacks of them along leading axes.  All functions are pure; nothing here
+mutates its inputs.
 """
 from __future__ import annotations
 
@@ -32,8 +33,11 @@ def max_asymmetry(m: np.ndarray) -> float:
 
 
 def require_hermitian(m: np.ndarray, tol: float = HERMITIAN_TOL, name: str = "matrix") -> np.ndarray:
+    """m as a complex array, checked to be a finite Hermitian 2x2 or 4x4
+    matrix, or a (..., n, n) stack of them (the worst entry of the stack
+    decides)."""
     m = np.asarray(m, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] not in (2, 4):
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2] or m.shape[-1] not in (2, 4):
         raise ValueError(f"{name} must be a 2x2 or 4x4 matrix, got shape {m.shape}")
     if not np.all(np.isfinite(m.view(float))):
         raise ValueError(f"{name} has non-finite entries")
@@ -44,9 +48,10 @@ def require_hermitian(m: np.ndarray, tol: float = HERMITIAN_TOL, name: str = "ma
 
 
 def hermitian_eigenvalues(m: np.ndarray, tol: float = HERMITIAN_TOL) -> np.ndarray:
-    """Eigenvalues of a Hermitian 2x2 or 4x4 matrix, sorted descending."""
+    """Eigenvalues of a Hermitian 2x2 or 4x4 matrix, sorted descending;
+    for a stack of matrices, along the last axis."""
     m = require_hermitian(m, tol)
-    return np.linalg.eigvalsh(m)[::-1]
+    return np.linalg.eigvalsh(m)[..., ::-1]
 
 
 def trace_norm(m: np.ndarray, tol: float = HERMITIAN_TOL) -> float:

@@ -22,8 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .evolution import IsingParams, coupling_in_range, evolution_closed_form, params_from_bj
-from .linalg import hermitian_eigenvalues, projector, trace_norm
+from .evolution import IsingParams, check_coupling, evolution_closed_form, holds, params_from_bj
+from .linalg import dag, hermitian_eigenvalues, projector, trace_norm
 
 SCHMIDT_CLAMP_TOL = 1e-9
 
@@ -44,8 +44,8 @@ def angle_in_range(theta):
 
 
 def check_angle(theta: float) -> None:
-    """Raise unless theta lies in [0, pi/2]."""
-    if not angle_in_range(theta):
+    """Raise unless theta lies in [0, pi/2] (every entry, for an array)."""
+    if not holds(angle_in_range(theta)):
         raise ValueError(f"theta must lie in [0, pi/2], got {theta}")
 
 
@@ -100,17 +100,20 @@ def schmidt(state: np.ndarray) -> tuple[float, float]:
     """Schmidt coefficients (descending) of a pure two-qubit state.
 
     These are the eigenvalues of either reduced density matrix; (1/2, 1/2)
-    signals maximal entanglement, (1, 0) a product state.
+    signals maximal entanglement, (1, 0) a product state.  A (..., 4) stack
+    of states gives two arrays, from one stacked eigvalsh; a state failing
+    a check anywhere in the stack raises as it would on its own.
     """
     v = np.asarray(state, dtype=complex)
-    if v.shape != (4,):
+    if v.shape[-1:] != (4,):
         raise ValueError(f"state must be a 4-vector, got shape {v.shape}")
-    norm = np.linalg.norm(v)
-    if abs(norm - 1.0) > 1e-10:
-        raise ValueError(f"state norm {norm:.12f} is not 1")
-    m = v.reshape(2, 2)
-    lam = hermitian_eigenvalues(m @ m.conj().T)
-    return float(lam[0]), float(lam[1])
+    norm = np.linalg.norm(v, axis=-1)
+    off = np.abs(norm - 1.0) > 1e-10
+    if off.any():
+        raise ValueError(f"state norm {norm[off][0]:.12f} is not 1")
+    m = v.reshape(*v.shape[:-1], 2, 2)
+    lam1, lam2 = np.moveaxis(hermitian_eigenvalues(m @ dag(m)), -1, 0)
+    return lam1, lam2
 
 
 @dataclass(frozen=True)
@@ -144,8 +147,7 @@ def schmidt_closed_form(theta: float, j: float, t: float) -> SchmidtResult:
     raise, since they signal a transcription bug rather than float noise.
     """
     check_angle(theta)
-    if not coupling_in_range(j):
-        raise ValueError(f"j must lie in [0, 1/2], got {j}")
+    check_coupling(j)
     a0 = 16.0 * j**2 * (1.0 - 4.0 * j**2) * math.sin(t) ** 4   # = 1 - |Z|^2
     a_term = a0 * math.sin(theta) ** 4
     z_re = 1.0 - 8.0 * j**2 * math.sin(t) ** 2

@@ -25,6 +25,7 @@ correct and cross-checked against its pipeline on every call.
 """
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -43,6 +44,8 @@ from .evolution import (
     evolution_closed_form,
     normalize_fields,
     params_from_bj,
+    propagate,
+    propagator_entries,
     spectrum,
 )
 from .linalg import dag, projector
@@ -114,13 +117,22 @@ def gaussian_mixed_state(rho: np.ndarray, p: IsingParams, g: GaussianTime) -> np
     return dephase(rho, spectrum(p), g.t0, g.s)
 
 
+@functools.cache
+def _hermite_rule(nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Hermite nodes and weights, computed once per size and read-only."""
+    x, w = np.polynomial.hermite.hermgauss(nodes)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
+
+
 def quadrature_oracle(rho: np.ndarray, p: IsingParams, g: GaussianTime,
                       nodes: int = 64) -> np.ndarray:
     """Gauss-Hermite evaluation of the Gaussian average; checks :func:`dephase`.
 
     Substituting t = t0 + sqrt(2) s x turns the integral into
-    (1/sqrt(pi)) sum_i w_i U(t_i) rho U(t_i)^dag.  The s = 0 model is the
-    delta distribution and is evaluated directly.
+    (1/sqrt(pi)) sum_i w_i U(t_i) rho U(t_i)^dag, with the node propagators
+    built as one stack.  The s = 0 model is the delta distribution and is
+    evaluated directly.
     """
     if nodes < 16:
         raise ValueError(f"need at least 16 quadrature nodes, got {nodes}")
@@ -128,12 +140,12 @@ def quadrature_oracle(rho: np.ndarray, p: IsingParams, g: GaussianTime,
     if g.s == 0.0:
         u = evolution_closed_form(p, g.t0)
         return u @ rho @ dag(u)
-    x, w = np.polynomial.hermite.hermgauss(nodes)
-    out = np.zeros((4, 4), dtype=complex)
-    for xi, wi in zip(x, w):
-        u = evolution_closed_form(p, g.t0 + math.sqrt(2.0) * g.s * xi)
-        out += wi * (u @ rho @ dag(u))
-    return out / math.sqrt(math.pi)
+    x, w = _hermite_rule(nodes)
+    t = g.t0 + math.sqrt(2.0) * g.s * x
+    # row k of the propagated identity is U e_k, column k of U
+    u = propagate(propagator_entries(p.b_plus, p.b_minus, p.j, t[:, None]),
+                  np.eye(4)).swapaxes(-1, -2)
+    return (w[:, None, None] * (u @ rho @ dag(u))).sum(axis=0) / math.sqrt(math.pi)
 
 
 def witness_table(theta: float, p: IsingParams, g: GaussianTime) -> dict:

@@ -34,6 +34,7 @@ from .evolution import (
     IsingParams,
     PhysicalFields,
     b_minus_magnitude,
+    check_coupling,
     coupling_in_range,
     params_from_bj,
     spectrum,
@@ -60,7 +61,7 @@ FIGURE_T = math.pi / 2.0
 FIGURE_B_PLUS = 1.0
 FIGURE5_T0 = {"a": math.pi / 2.0, "b": 3.0 * math.pi / 4.0, "c": 7.0 * math.pi / 4.0}
 MAX_CELLS = 1_000_000
-_STACK_CELLS = 256          # cells per stacked block of 4x4 densities (64 KiB each)
+STACK_CELLS = 256           # cells per stacked block of 4x4 densities (64 KiB each)
 
 
 @dataclass(frozen=True)
@@ -118,7 +119,9 @@ class SweepSpec:
 
 
 def fields_from_bj(b_plus: float, j: float) -> PhysicalFields:
-    """Physical fields with unit scale for given (b+, j); b- taken positive."""
+    """Physical fields with unit scale for given (b+, j); b- taken positive.
+    Raises for j outside [0, 1/2], where the scale would not be 1."""
+    check_coupling(j)
     b_minus = float(b_minus_magnitude(j))
     return PhysicalFields(b1=(b_plus + b_minus) / 2.0, b2=(b_plus - b_minus) / 2.0, j=j)
 
@@ -277,7 +280,7 @@ def _mixed_grid(params, setup):
             continue
         eigensystem = spectrum(model)
         cells = np.array(cells)[ok[cells]]
-        for block in np.split(cells, range(_STACK_CELLS, len(cells), _STACK_CELLS)):
+        for block in np.split(cells, range(STACK_CELLS, len(cells), STACK_CELLS)):
             out[block] = pair_fidelity(initial_pair_grid(theta[block]), eigensystem,
                                        group["t0"], s[block, None, None], u)
     return out

@@ -4,9 +4,15 @@ independent numerical route, with one pass/fail line per suite.
 ``fast`` keeps every grid small enough for interactive use; ``full`` runs
 the production grids.  A propagator can be injected to exercise the
 negative control (a tampered closed form must fail the suite).
+
+The closed forms are called once per point.  The oracles run on stacks:
+blocks of STACK_CELLS points for the propagator (eigh) and Schmidt
+(eigvalsh) suites, and one theta row at a time for the state pipeline,
+which keeps the memory of a run near that of a point-by-point one.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -29,6 +35,7 @@ from .stochastic import (
     witness_table,
     witness_table_numeric,
 )
+from .sweeps import STACK_CELLS
 
 
 @dataclass(frozen=True)
@@ -61,10 +68,22 @@ class VerifyReport:
         return out
 
 
-def _check_propagator(level: str, propagator) -> CheckResult:
-    n_draws = 10_000 if level == "full" else 2_000
+def _blocks(items):
+    """Consecutive lists of STACK_CELLS items; the last one may be shorter."""
+    items = iter(items)
+    while block := list(itertools.islice(items, STACK_CELLS)):
+        yield block
+
+
+def _worst(deviations) -> float:
+    """Largest of the deviations (0 if none); nan, which fails, if any is nan."""
+    return float(np.max(list(deviations), initial=0.0))
+
+
+def _propagator_draws(n_draws: int, propagator):
+    """(closed-form propagator, (b1, b2, j, t)) for each random draw whose
+    fields have a scale R >= 1e-9."""
     rng = np.random.default_rng(1234)
-    worst = 0.0
     for _ in range(n_draws):
         j_phys = rng.uniform(0.0, 3.0)
         b1, b2 = rng.uniform(-3.0, 3.0, 2)
@@ -73,42 +92,58 @@ def _check_propagator(level: str, propagator) -> CheckResult:
             continue
         t = rng.uniform(-2.0 * math.pi, 2.0 * math.pi)
         p = normalize_fields(fields)
-        dev = np.abs(propagator(p, p.scale * t) - evolution_oracle(fields, t)).max()
-        worst = max(worst, float(dev))
+        yield propagator(p, p.scale * t), (b1, b2, j_phys, t)
+
+
+def _check_propagator(level: str, propagator) -> CheckResult:
+    def deviation(block):
+        closed, draws = zip(*block)
+        b1, b2, j, t = np.transpose(draws)
+        return np.abs(np.array(closed) - evolution_oracle(PhysicalFields(b1, b2, j), t)).max()
+
+    n_draws = 10_000 if level == "full" else 2_000
+    worst = _worst(map(deviation, _blocks(_propagator_draws(n_draws, propagator))))
     return CheckResult("propagator closed form vs spectral oracle", worst, 1e-10)
 
 
-def _check_schmidt(level: str, propagator) -> CheckResult:
-    n = 20 if level == "full" else 8
-    worst = 0.0
+def _schmidt_points(n: int, propagator):
+    """(U(t) beta2, closed-form coefficients) over the (theta, j, t) grid."""
     for theta in np.linspace(0.0, math.pi / 2.0, n):
+        _, beta2 = initial_pair(theta)
         for j in np.linspace(0.0, 0.5, n):
             p = params_from_bj(1.1, j)
             for t in np.linspace(0.0, 2.0 * math.pi, n):
-                _, beta2 = initial_pair(theta)
-                lam = schmidt(propagator(p, t) @ beta2)
                 closed = schmidt_closed_form(theta, j, t)
-                worst = max(worst, abs(lam[0] - closed.lambda1),
-                            abs(lam[1] - closed.lambda2))
+                yield propagator(p, t) @ beta2, (closed.lambda1, closed.lambda2)
+
+
+def _check_schmidt(level: str, propagator) -> CheckResult:
+    def deviation(block):
+        states, closed = zip(*block)
+        return np.abs(np.transpose(schmidt(np.array(states))) - closed).max()
+
+    n = 20 if level == "full" else 8
+    worst = _worst(map(deviation, _blocks(_schmidt_points(n, propagator))))
     return CheckResult("Schmidt closed form vs reduced-density eigenvalues", worst, 1e-9)
 
 
 def _check_f_n(level: str, propagator) -> CheckResult:
     n_th, n_b = (20, 20) if level == "full" else (6, 6)
     n_jt = 5 if level == "full" else 3
-    worst = 0.0
-    for theta in np.linspace(0.0, math.pi / 2.0, n_th):
-        for b_plus in np.linspace(0.0, 5.0, n_b):
-            for j in np.linspace(0.0, 0.5, n_jt):
-                for t in np.linspace(0.1, 2.0 * math.pi, n_jt):
-                    worst = max(worst, abs(f_n(theta, b_plus, j, t)
-                                           - f_n_pipeline(theta, b_plus, j, t)))
+    b_plus, j, t = np.meshgrid(np.linspace(0.0, 5.0, n_b), np.linspace(0.0, 0.5, n_jt),
+                               np.linspace(0.1, 2.0 * math.pi, n_jt), indexing="ij")
+
+    def deviation(theta):
+        closed = [f_n(theta, *cell) for cell in zip(b_plus.flat, j.flat, t.flat)]
+        return np.abs(np.reshape(closed, b_plus.shape) - f_n_pipeline(theta, b_plus, j, t)).max()
+
+    worst = _worst(map(deviation, np.linspace(0.0, math.pi / 2.0, n_th)))
     return CheckResult("do-nothing closed form vs state pipeline", worst, 1e-9)
 
 
 def _check_mixed(level: str, propagator) -> CheckResult:
     n_th = 5 if level == "full" else 3
-    worst = 0.0
+    deviations = []
     t0_values = (math.pi / 2.0, 3.0 * math.pi / 4.0, 7.0 * math.pi / 4.0)
     for theta in np.linspace(0.0, math.pi / 2.0, n_th):
         for b_plus in np.linspace(0.0, 2.0, n_th):
@@ -118,15 +153,15 @@ def _check_mixed(level: str, propagator) -> CheckResult:
             for t0 in t0_values:
                 for s in (0.0, t0 / 6.0, t0 / 3.0):
                     g = GaussianTime(t0, s)
-                    dev = np.abs(gaussian_mixed_state(rho, p, g)
-                                 - quadrature_oracle(rho, p, g, nodes=64)).max()
-                    worst = max(worst, float(dev))
-    return CheckResult("Gaussian mixing analytic vs quadrature oracle", worst, 1e-8)
+                    deviations.append(np.abs(gaussian_mixed_state(rho, p, g)
+                                             - quadrature_oracle(rho, p, g, nodes=64)).max())
+    return CheckResult("Gaussian mixing analytic vs quadrature oracle",
+                       _worst(deviations), 1e-8)
 
 
 def _check_witnesses(level: str, propagator) -> CheckResult:
     n = 5 if level == "full" else 3
-    worst = 0.0
+    deviations = []
     for theta in np.linspace(0.0, math.pi / 2.0, n):
         for b_plus in np.linspace(0.0, 2.0, n):
             p = params_from_bj(b_plus, 1.0 / 6.0)
@@ -135,8 +170,8 @@ def _check_witnesses(level: str, propagator) -> CheckResult:
                     g = GaussianTime(t0, s)
                     closed = witness_table(theta, p, g)
                     numeric = witness_table_numeric(theta, p, g)
-                    worst = max(worst, max(abs(closed[k] - numeric[k]) for k in closed))
-    return CheckResult("witness closed forms vs mixing pipeline", worst, 1e-9)
+                    deviations.extend(abs(closed[k] - numeric[k]) for k in closed)
+    return CheckResult("witness closed forms vs mixing pipeline", _worst(deviations), 1e-9)
 
 
 _SUITES = (

@@ -1,3 +1,4 @@
+import argparse
 import math
 import os
 import subprocess
@@ -5,9 +6,22 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import isingcontrol
 from isingcontrol.cli import main, parse_axis, parse_number
+
+
+# arithmetic that parse_number accepts: numbers, pi and e under + - * / and parentheses
+ARITHMETIC = st.recursive(
+    st.sampled_from(["1", "2.5", "9", "1e-3", "pi", "e"]),
+    lambda inner: st.one_of(
+        st.tuples(inner, st.sampled_from("+-*/"), inner).map("({0[0]}{0[1]}{0[2]})".format),
+        inner.map("-{}".format)),
+    max_leaves=6)
+# names other than the two constants, including names of callables
+IDENTIFIERS = st.from_regex(r"[A-Za-z_][A-Za-z0-9_]{0,8}", fullmatch=True).filter(
+    lambda name: name not in ("pi", "e"))
 
 
 class TestParsing:
@@ -39,6 +53,21 @@ class TestParsing:
     def test_parse_number_rejects_non_finite(self, text):
         import argparse
         with pytest.raises(argparse.ArgumentTypeError, match="not finite"):
+            parse_number(text)
+
+    @given(st.one_of(
+        IDENTIFIERS,
+        st.tuples(ARITHMETIC, ARITHMETIC).map("{0[0]}**{0[1]}".format),
+        st.tuples(ARITHMETIC, ARITHMETIC).map("({0[0]})({0[1]})".format),
+        st.tuples(IDENTIFIERS, ARITHMETIC).map("{0[0]}({0[1]})".format),
+        st.tuples(ARITHMETIC, IDENTIFIERS).map("({0[0]}).{0[1]}".format),
+        st.tuples(ARITHMETIC, ARITHMETIC).map("({0[0]})[{0[1]}]".format),
+    ), ARITHMETIC, st.sampled_from("+-*/"), st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_parse_number_rejects_any_non_arithmetic_term(self, term, other, op, term_first):
+        # a term like 9**9**9 would not finish if it were evaluated
+        text = f"{term}{op}{other}" if term_first else f"{other}{op}{term}"
+        with pytest.raises(argparse.ArgumentTypeError):
             parse_number(text)
 
     def test_parse_axis(self):
@@ -145,6 +174,18 @@ class TestSurfaceCommand:
         captured = capsys.readouterr()
         assert captured.out.count("nan") == 4
         assert "mean duration must be positive" in captured.err
+
+
+    @pytest.mark.parametrize("scheme", ["f1", "f2"])
+    def test_coupling_beyond_half_exits_3(self, scheme, capsys):
+        code = main(["surface", "--scheme", scheme,
+                     "--axis1", "theta:0:1:2", "--axis2", "s:0:0.3:2",
+                     "--fix", "b_plus=1", "--fix", "j=0.6", "--fix", "t0=pi/2"])
+        assert code == 3
+        captured = capsys.readouterr()
+        assert [line.rsplit(",", 1)[1] for line in captured.out.split()[1:]] == ["nan"] * 4
+        assert "4 cell(s) failed numerically" in captured.err
+        assert captured.err.count("j must lie in [0, 1/2], got 0.6") == 4
 
 
 class TestPlanCommand:

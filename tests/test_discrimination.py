@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from isingcontrol.discrimination import (
     LocalPovm,
@@ -192,6 +193,25 @@ class TestClosedFormSchemes:
                         worst = max(worst, abs(f_n(theta, b_plus, j, t)
                                                - f_n_pipeline(theta, b_plus, j, t)))
         assert worst < 1e-9
+
+    @given(st.lists(st.tuples(st.floats(0.0, math.pi / 2), st.floats(-5.0, 5.0),
+                              st.one_of(st.sampled_from([0.0, 0.5]), st.floats(0.0, 0.5)),
+                              st.floats(-2 * math.pi, 2 * math.pi)), min_size=1, max_size=8))
+    @settings(max_examples=150, deadline=None)
+    def test_f_n_pipeline_stacked_equals_scalar_calls(self, cells):
+        theta, b_plus, j, t = np.array(cells).T
+        scalar = [f_n_pipeline(*cell) for cell in cells]
+        np.testing.assert_allclose(f_n_pipeline(theta, b_plus, j, t), scalar, rtol=0, atol=1e-15)
+        # one theta against a row of cells, as in the verify suite
+        row = f_n_pipeline(theta[0], b_plus, j, t)
+        np.testing.assert_allclose(row, [f_n_pipeline(theta[0], *cell[1:]) for cell in cells],
+                                   rtol=0, atol=1e-15)
+
+    def test_f_n_pipeline_checks_every_entry(self):
+        with pytest.raises(ValueError, match="theta must lie"):
+            f_n_pipeline(np.array([0.1, 2.0]), 1.0, 0.2, 1.0)
+        with pytest.raises(ValueError, match="j must lie"):
+            f_n_pipeline(0.1, 1.0, np.array([0.2, 0.6]), 1.0)
 
     def test_f_ab_limits(self):
         b_plus, j, t = 1.0, 1 / 6, math.pi / 2

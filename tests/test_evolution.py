@@ -35,6 +35,17 @@ params_strategy = st.tuples(
 )
 
 
+# stacks of physical draws (b1, b2, j, t); j = 0 and b1 = b2 come up often
+field_stacks = st.lists(
+    st.tuples(
+        st.floats(min_value=-3.0, max_value=3.0),
+        st.one_of(st.none(), st.floats(min_value=-3.0, max_value=3.0)),   # None: b2 = b1
+        st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=3.0)),
+        st.floats(min_value=-2.0 * math.pi, max_value=2.0 * math.pi),
+    ).map(lambda d: (d[0], d[0] if d[1] is None else d[1], d[2], d[3])),
+    min_size=1, max_size=8)
+
+
 class TestNormalizeFields:
     def test_pure_coupling(self):
         p = normalize_fields(PhysicalFields(0.0, 0.0, 1.0))
@@ -69,6 +80,14 @@ class TestNormalizeFields:
     def test_negative_coupling_rejected(self):
         with pytest.raises(ValueError, match=">= 0"):
             PhysicalFields(0.0, 0.0, -1.0)
+
+    def test_stacked_fields_checked_entrywise(self):
+        fields = PhysicalFields(np.array([1.0, 2.0]), np.array([0.5, 2.0]), np.array([0.0, 0.0]))
+        np.testing.assert_array_equal(fields.b_minus, [0.5, 0.0])
+        with pytest.raises(ValueError, match="field b2 must be finite"):
+            PhysicalFields(np.zeros(3), np.array([0.0, np.inf, 0.0]), np.zeros(3))
+        with pytest.raises(ValueError, match=">= 0"):
+            PhysicalFields(np.zeros(3), np.zeros(3), np.array([0.1, -1.0, 0.2]))
 
 
 class TestHamiltonian:
@@ -216,6 +235,21 @@ class TestOracle:
         t = 1.0
         np.testing.assert_allclose(evolution_oracle(f, t),
                                    series_expm(hamiltonian(f), t), atol=1e-8)
+
+    @given(field_stacks)
+    @settings(max_examples=150, deadline=None)
+    def test_stacked_oracle_equals_scalar_calls(self, draws):
+        b1, b2, j, t = np.array(draws).T
+        stacked = PhysicalFields(b1, b2, j)
+        singles = [PhysicalFields(*draw[:3]) for draw in draws]
+        np.testing.assert_array_equal(hamiltonian(stacked), [hamiltonian(f) for f in singles])
+        np.testing.assert_allclose(evolution_oracle(stacked, t),
+                                   [evolution_oracle(f, d[3]) for f, d in zip(singles, draws)],
+                                   rtol=0, atol=1e-13)
+        # one model at stacked times
+        np.testing.assert_allclose(evolution_oracle(singles[0], t),
+                                   [evolution_oracle(singles[0], time) for time in t],
+                                   rtol=0, atol=1e-13)
 
     @given(params_strategy)
     @settings(max_examples=150, deadline=None)

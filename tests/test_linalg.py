@@ -46,6 +46,18 @@ class TestHermitianEigenvalues:
         with pytest.raises(ValueError, match="2x2 or 4x4"):
             hermitian_eigenvalues(np.eye(3))
 
+    def test_stack_equals_matrix_by_matrix(self):
+        stack = np.array([random_hermitian(seed) for seed in range(6)]).reshape(2, 3, 4, 4)
+        np.testing.assert_array_equal(
+            hermitian_eigenvalues(stack),
+            [[hermitian_eigenvalues(m) for m in row] for row in stack])
+
+    def test_stack_with_one_non_hermitian_matrix_rejected(self):
+        stack = np.array([np.eye(2, dtype=complex)] * 3)
+        stack[1, 0, 1] = 1e-3
+        with pytest.raises(ValueError, match="max asymmetry 1.000e-03"):
+            hermitian_eigenvalues(stack)
+
     @given(st.integers(min_value=0, max_value=10_000))
     @settings(max_examples=200, deadline=None)
     def test_eigenvalue_sum_equals_trace(self, seed):

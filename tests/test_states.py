@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from isingcontrol.evolution import evolution_closed_form, params_from_bj
 from isingcontrol.linalg import projector
@@ -18,6 +19,32 @@ from isingcontrol.states import (
 )
 
 SQ2 = math.sqrt(2.0)
+
+
+@st.composite
+def unit_states(draw):
+    """An evolved second preparation (j = 0 and j = 1/2, where b1 = b2, come
+    up often) or a random unit vector."""
+    if draw(st.booleans()):
+        j = draw(st.one_of(st.sampled_from([0.0, 0.5]), st.floats(0.0, 0.5)))
+        p = params_from_bj(draw(st.floats(-3.0, 3.0)), j)
+        _, beta2 = initial_pair(draw(st.floats(0.0, math.pi / 2)))
+        return evolution_closed_form(p, draw(st.floats(-2 * math.pi, 2 * math.pi))) @ beta2
+    v = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).normal(size=(2, 4))
+    v = v[0] + 1j * v[1]
+    return v / np.linalg.norm(v)
+
+
+@st.composite
+def bad_states(draw):
+    """A vector that fails schmidt's checks: off unit norm, or non-finite."""
+    v = draw(unit_states())
+    if draw(st.booleans()):
+        return v * draw(st.one_of(st.floats(0.0, 0.99), st.floats(1.01, 10.0)))
+    v = v.copy()
+    v[draw(st.integers(0, 3))] = draw(st.sampled_from([np.nan, np.inf, -np.inf,
+                                                       complex(0.0, np.nan)]))
+    return v
 
 
 class TestBell:
@@ -134,6 +161,26 @@ class TestSchmidt:
     def test_rejects_unnormalized(self):
         with pytest.raises(ValueError, match="norm"):
             schmidt(np.array([1.0, 1.0, 0.0, 0.0]))
+
+    @given(st.lists(unit_states(), min_size=1, max_size=8))
+    @settings(max_examples=150, deadline=None)
+    def test_stacked_equals_scalar_calls(self, states):
+        expected = np.array([schmidt(v) for v in states])
+        lam1, lam2 = schmidt(np.array(states))
+        np.testing.assert_allclose(np.stack([lam1, lam2], axis=-1), expected, rtol=0, atol=1e-14)
+        lam1, lam2 = schmidt(np.array(states)[:, None, :])   # two leading axes
+        np.testing.assert_allclose(np.stack([lam1, lam2], axis=-1)[:, 0], expected,
+                                   rtol=0, atol=1e-14)
+
+    @given(st.lists(unit_states(), max_size=6), bad_states(), st.integers(0, 6))
+    @settings(max_examples=150, deadline=None)
+    def test_bad_state_anywhere_in_a_stack_raises_as_alone(self, states, bad, where):
+        where = min(where, len(states))
+        with pytest.raises(ValueError) as alone:
+            schmidt(bad)
+        with pytest.raises(ValueError) as stacked:
+            schmidt(np.array(states[:where] + [bad] + states[where:]))
+        assert str(stacked.value) == str(alone.value)
 
 
 class TestSchmidtClosedForm:

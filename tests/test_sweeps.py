@@ -184,6 +184,10 @@ class TestHelpers:
         assert fields.scale == pytest.approx(1.0)
         assert fields.b_plus == pytest.approx(1.0)
 
+    def test_fields_from_bj_rejects_coupling_beyond_half(self):
+        with pytest.raises(ValueError, match=r"j must lie in \[0, 1/2\], got 0.6"):
+            fields_from_bj(1.0, 0.6)
+
     def test_default_situation1_indices(self):
         p = params_from_bj(1.0, 1 / 6)
         assert default_situation1_indices(math.pi / 2, p) == (1, 1)

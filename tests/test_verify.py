@@ -1,9 +1,30 @@
+import itertools
 import time
+from unittest import mock
 
 import numpy as np
+import pytest
 
+from isingcontrol import verify
 from isingcontrol.evolution import evolution_closed_form
 from isingcontrol.verify import run_verify
+
+PROPAGATOR_SUITE = "propagator closed form vs spectral oracle"
+SCHMIDT_SUITE = "Schmidt closed form vs reduced-density eigenvalues"
+# closed-form points per level: propagator draws (none is skipped for the
+# seeded stream), Schmidt grid points, do-nothing cells
+POINTS = {"fast": (2_000, 8**3, 6 * 6 * 3 * 3), "full": (10_000, 20**3, 20 * 20 * 5 * 5)}
+
+
+def tamper(u):
+    u = u.copy()
+    u[1, 1] *= np.exp(0.001j)
+    return u
+
+
+def statuses(report):
+    """Suite name -> PASS or FAIL."""
+    return {line.split(":")[0][6:]: line[:4] for line in report.lines()[:-1]}
 
 
 class TestRunVerify:
@@ -20,17 +41,55 @@ class TestRunVerify:
 
     def test_tampered_propagator_fails(self):
         def tampered(p, t):
-            u = evolution_closed_form(p, t)
-            u = u.copy()
-            u[1, 1] *= np.exp(0.001j)
-            return u
+            return tamper(evolution_closed_form(p, t))
 
         report = run_verify(level="fast", propagator=tampered)
         assert not report.ok
         assert any(line.startswith("FAIL") for line in report.lines())
         assert report.lines()[-1] == "VERIFICATION FAILED"
+        failed = {name for name, status in statuses(report).items() if status == "FAIL"}
+        assert failed == {PROPAGATOR_SUITE, SCHMIDT_SUITE}
+
+    @pytest.mark.parametrize("level", ["fast", "full"])
+    def test_tampering_only_the_last_draw_fails_the_propagator_suite(self, level):
+        draws = POINTS[level][0]
+        assert draws % verify.STACK_CELLS, "the last draw must fall in a partial block"
+        calls = itertools.count(1)
+
+        def tampered_last(p, t):
+            u = evolution_closed_form(p, t)
+            return tamper(u) if next(calls) == draws else u
+
+        report = run_verify(level=level, propagator=tampered_last)
+        assert statuses(report)[PROPAGATOR_SUITE] == "FAIL"
+        assert list(statuses(report).values()).count("FAIL") == 1
+        assert report.lines()[-1] == "VERIFICATION FAILED"
+
+    def test_nan_in_one_draw_fails_the_propagator_suite(self):
+        calls = itertools.count(1)
+
+        def nan_once(p, t):
+            u = evolution_closed_form(p, t)
+            return np.full_like(u, np.nan) if next(calls) == 7 else u
+
+        report = run_verify(level="fast", propagator=nan_once)
+        assert statuses(report)[PROPAGATOR_SUITE] == "FAIL"
+        assert "max deviation nan" in report.lines()[0]
+
+    @pytest.mark.parametrize("level", ["fast", "full"])
+    def test_closed_forms_are_called_once_per_point(self, level):
+        calls = []
+
+        def counted(p, t):
+            calls.append(t)
+            return evolution_closed_form(p, t)
+
+        with mock.patch.object(verify, "f_n", wraps=verify.f_n) as f_n:
+            assert run_verify(level=level, propagator=counted).ok
+        draws, schmidt_points, f_n_cells = POINTS[level]
+        assert len(calls) == draws + schmidt_points
+        assert f_n.call_count == f_n_cells
 
     def test_rejects_unknown_level(self):
-        import pytest
         with pytest.raises(ValueError, match="level"):
             run_verify(level="medium")
