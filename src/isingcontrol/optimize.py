@@ -1,4 +1,4 @@
-"""Numerical maximization of the average fidelity over the local measurement
+"""Exact maximization of the average fidelity over the local measurement
 family (four angles), plus the zero-field stationary structure.
 
 The objective for fixed (theta, b+, j, t) is affine in the two group
@@ -6,16 +6,16 @@ probabilities,
 
     F(x) = const + c1 P_H1(x) + c2 P_H2(x).
 
-With qubit 2's basis (d2, f2) fixed it is const' + <d1|M|d1> for the 2x2
-Hermitian M = c1(uu' - vv') + c2(ww' - zz'), where u = (I x <d2|) b1',
-v = (I x <f2|) b1', w = (I x <f2|) b2' and z = (I x <d2|) b2' (' is the
-conjugate transpose), so the best qubit-1 basis is the top eigenvector of
-M in closed form; the same holds with the qubits swapped.  The search
-scores a coarse grid of seeds, then runs this see-saw (alternating exact
-block maximization) from the best grid seeds and the analytic candidates
-(computational basis and both zero-field-optimal families).  Every
-half-step maximizes exactly, so the result never falls below any start,
-and everything is deterministic for fixed settings.
+A qubit basis with Bloch vector n has delta projector (I + n.sigma)/2, so
+the group operators are (I x I +- (n1.sigma) x (n2.sigma))/2 and
+
+    c1 P_H1 + c2 P_H2 = (c1 + c2)/2 + n1 . (A n2) / 2,
+    A = c1 T(b1') - c2 T(b2'),
+
+with T the real 3x3 correlation matrix of a two-qubit pure state
+(R. & M. Horodecki, PRA 54, 1838, 1996).  Over unit vectors n1, n2 the
+bilinear form peaks at the largest singular value of A, attained by the
+top singular vectors, so one 3x3 SVD gives the optimum and the measurement.
 
 Two objective modes exist because the repreparation entering the optimized
 scheme is ambiguous: ``as-printed`` scores overlaps of the originals with
@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .discrimination import LocalPovm, fold_angles, state_fidelity, table1_povm
+from .discrimination import LocalPovm, fold_angles, state_fidelity
 from .states import evolved_pair_bj, initial_pair
 
 OBJECTIVE_MODES = ("as-printed", "reprepare-originals")
@@ -38,23 +38,11 @@ OBJECTIVE_MODES = ("as-printed", "reprepare-originals")
 
 @dataclass(frozen=True)
 class OptimizerSettings:
-    """``grid_per_axis`` seeds per angle in the coarse grid; the see-saw
-    stops once no qubit's Bloch vector moves by more than
-    ``refine_tolerance`` (any component) in a full sweep, or after
-    ``max_refine_steps`` sweeps, and then reports ``converged=False``."""
+    """``objective_mode`` picks the objective (see the module docstring)."""
 
-    grid_per_axis: int = 8
-    refine_tolerance: float = 1e-8
-    max_refine_steps: int = 2000
     objective_mode: str = "as-printed"
 
     def __post_init__(self):
-        if self.grid_per_axis < 4:
-            raise ValueError(f"grid_per_axis must be >= 4, got {self.grid_per_axis}")
-        if not self.refine_tolerance > 0:
-            raise ValueError("refine_tolerance must be positive")
-        if self.max_refine_steps < 1:
-            raise ValueError("max_refine_steps must be >= 1")
         if self.objective_mode not in OBJECTIVE_MODES:
             raise ValueError(
                 f"objective_mode must be one of {OBJECTIVE_MODES}, got {self.objective_mode!r}")
@@ -62,9 +50,15 @@ class OptimizerSettings:
 
 @dataclass(frozen=True)
 class Fdr2Result:
+    """The optimal measurement and its average fidelity.
+
+    ``converged`` is always True, since the optimum is exact; the field stays
+    because the benchmark's tracer (``perfbench/tracing.py``) reads it.
+    """
+
     povm: LocalPovm
     value: float
-    converged: bool
+    converged: bool = True
 
 
 def group_probs_batch(x: np.ndarray, state1, state2) -> tuple[np.ndarray, np.ndarray]:
@@ -106,16 +100,6 @@ def _objective_coefficients(theta, b_plus, j, t, mode):
         a1, b1x, a2, b2x = 1.0, 0.0, 1.0, 0.0
     const = 0.5 * (b1x + b2x)
     return b1p, b2p, const, 0.5 * (a1 - b1x), 0.5 * (a2 - b2x)
-
-
-def _analytic_seed_angles(theta: float) -> np.ndarray:
-    a = table1_povm(theta, "A")
-    b = table1_povm(theta, "B")
-    return np.array([
-        [0.0, 0.0, 0.0, 0.0],
-        list(a.angles()),
-        list(b.angles()),
-    ])
 
 
 def coordinate_ascent(objective, points: np.ndarray, step0: float,
@@ -161,96 +145,42 @@ def _correlations(state) -> np.ndarray:
     return np.einsum("ij,aik,bjl,kl->ab", m.conj(), _PAULI, _PAULI, m).real
 
 
-def _bloch(theta: np.ndarray, alpha: np.ndarray) -> np.ndarray:
-    """Bloch vectors (N, 3) of the delta states with the given angles."""
-    st = np.sin(theta)
-    return np.stack([st * np.cos(alpha), st * np.sin(alpha), np.cos(theta)], axis=1)
+def _angles(n: np.ndarray) -> tuple[float, float]:
+    """(theta, alpha) of the Bloch vector n = (sin t cos a, sin t sin a, cos t)."""
+    x, y, z = n.tolist()
+    return math.atan2(math.hypot(x, y), z), math.atan2(y, x)
 
 
-def _angles(n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(theta, alpha) of the Bloch vectors n, the inverse of :func:`_bloch`."""
-    return np.arctan2(np.hypot(n[:, 0], n[:, 1]), n[:, 2]), np.arctan2(n[:, 1], n[:, 0])
+def _svd_optimum(state1, state2, c1: float, c2: float) -> tuple[float, LocalPovm]:
+    """Maximum of c1 P_H1 + c2 P_H2 over product bases, and a basis reaching it.
 
-
-def _align(a: np.ndarray, partner: np.ndarray, previous: np.ndarray) -> np.ndarray:
-    """Unit vectors n maximizing n . (a partner) row by row; rows where
-    a partner vanishes (the objective is flat there) keep ``previous``."""
-    h = np.einsum("ab,nb->na", a, partner)   # not @: BLAS dgemm adds 0.3 MB peak RSS
-    norm = np.linalg.norm(h, axis=1, keepdims=True)
-    return np.divide(h, norm, out=previous.copy(), where=norm > 0)
-
-
-def seesaw(x: np.ndarray, state1, state2, c1: float, c2: float,
-           tolerance: float, max_steps: int) -> tuple[np.ndarray, bool]:
-    """Alternating exact maximization of c1 P_H1 + c2 P_H2 over qubit 1's and
-    qubit 2's bases, from every row of the (N, 4) angle array x at once.
-
-    A basis with Bloch vector n has delta projector (I + n.sigma)/2, so the
-    group operators are (I x I +- (n1.sigma) x (n2.sigma))/2 and
-
-        c1 P_H1 + c2 P_H2 = (c1 + c2)/2 + n1 . (A n2) / 2,
-        A = c1 T(state1) - c2 T(state2)
-
-    with T the correlation matrices of the (unit) states.  With qubit 2
-    fixed this is the 2x2 eigenproblem for M = c1(uu' - vv') + c2(ww' - zz'),
-    whose traceless part is (A n2).sigma / 2, so the top eigenvector has
-    Bloch vector A n2 / |A n2|; the qubit-2 update uses A^T n1.  A sweep
-    updates qubit 1, then qubit 2.
-    Returns (angles, converged); converged is False when ``max_steps`` sweeps
-    ran without every Bloch vector settling to within ``tolerance``.
+    The maximum is (c1 + c2)/2 + sigma_1/2 for the largest singular value
+    sigma_1 of A = c1 T(state1) - c2 T(state2), at the Bloch vectors
+    (u_1, v_1) or, equally, (-u_1, -v_1).  Of these two the one with the
+    lexicographically smaller folded angles is returned, which also fixes
+    the choice when sigma_1 = sigma_2 and the SVD's pair is one of many.
     """
     a = c1 * _correlations(state1) - c2 * _correlations(state2)
-    n1, n2 = _bloch(x[:, 0], x[:, 2]), _bloch(x[:, 1], x[:, 3])
-    converged = False
-    for _ in range(max_steps):
-        m1 = _align(a, n2, n1)
-        m2 = _align(a.T, m1, n2)
-        converged = max(np.abs(m1 - n1).max(), np.abs(m2 - n2).max()) <= tolerance
-        n1, n2 = m1, m2
-        if converged:
-            break
-    (t1, a1), (t2, a2) = _angles(n1), _angles(n2)
-    return np.stack([t1, t2, a1, a2], axis=1), bool(converged)
+    u, s, vt = np.linalg.svd(a)
+    variants = []
+    for n1, n2 in ((u[:, 0], vt[0]), (-u[:, 0], -vt[0])):
+        (t1, a1), (t2, a2) = _angles(n1), _angles(n2)
+        variants.append(fold_angles(t1, t2, a1, a2))
+    return 0.5 * (c1 + c2) + 0.5 * float(s[0]), min(variants, key=LocalPovm.angles)
 
 
 def optimize_fdr2(theta: float, b_plus: float, j: float, t: float,
                   settings: OptimizerSettings | None = None) -> Fdr2Result:
-    """Maximize the average fidelity over the four measurement angles.
+    """Maximize the average fidelity over the four measurement angles, exactly.
 
-    Deterministic for fixed settings; the result value is never below the
-    objective at any of the best grid seeds, the computational basis, or
-    either zero-field-optimal family.  Ties between refined candidates
-    break by lexicographic order of the folded angles.
+    Deterministic: where several bases reach the optimum, the choice is
+    the fixed rule of :func:`_svd_optimum`.
     """
     settings = settings or OptimizerSettings()
     b1p, b2p, const, c1, c2 = _objective_coefficients(
         theta, b_plus, j, t, settings.objective_mode)
-
-    def objective(x: np.ndarray) -> np.ndarray:
-        p1, p2 = group_probs_batch(x, b1p, b2p)
-        return const + c1 * p1 + c2 * p2
-
-    g = settings.grid_per_axis
-    polar = np.linspace(0.0, math.pi, g)
-    phase = np.linspace(0.0, 2.0 * math.pi, g, endpoint=False)
-    mesh = np.meshgrid(polar, polar, phase, phase, indexing="ij")
-    seeds = np.stack([m.ravel() for m in mesh], axis=1)
-    analytic = _analytic_seed_angles(theta)
-    seeds = np.vstack([analytic, seeds])
-    seed_vals = objective(seeds)
-
-    top = np.argsort(-seed_vals, kind="stable")[:8]
-    start = np.vstack([seeds[top], analytic])
-    refined, converged = seesaw(start, b1p, b2p, c1, c2,
-                                settings.refine_tolerance, settings.max_refine_steps)
-    pts = np.vstack([refined, start])   # the starts too, against rounding
-    vals = objective(pts)
-
-    order = np.argsort(-vals, kind="stable")
-    best_val = vals[order[0]]
-    candidates = [fold_angles(*pts[i]) for i in order if vals[i] >= best_val]
-    best_povm = min(candidates, key=lambda p: p.angles())
-    return Fdr2Result(povm=best_povm, value=float(best_val), converged=converged)
+    value, povm = _svd_optimum(b1p, b2p, c1, c2)
+    return Fdr2Result(povm=povm, value=const + value)
 
 
 def zero_field_objective(theta: float, povm: LocalPovm) -> float:

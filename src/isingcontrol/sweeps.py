@@ -39,7 +39,7 @@ from .evolution import (
     params_from_bj,
     spectrum,
 )
-from .optimize import OBJECTIVE_MODES, Fdr2Result, OptimizerSettings, optimize_fdr2
+from .optimize import OBJECTIVE_MODES, OptimizerSettings, optimize_fdr2
 from .states import angle_in_range, initial_pair_grid, schmidt_closed_form
 from .stochastic import (
     GaussianTime,
@@ -170,7 +170,7 @@ def _eval_so(params, mode):
 def _eval_dr2(params, mode):
     settings = OptimizerSettings(objective_mode=mode)
     return optimize_fdr2(params["theta"], params["b_plus"], params["j"], params["t"],
-                         settings)
+                         settings).value
 
 
 def _eval_n_mix(params, mode):
@@ -339,7 +339,6 @@ class SweepResult:
     csv_text: str
     values: np.ndarray          # (steps1, steps2) grid, nan for failed cells
     failures: tuple             # (axis1_value, axis2_value, message) triples
-    unconverged: int            # optimizer cells that stopped at the iteration cap
 
 
 def run_sweep(spec: SweepSpec) -> SweepResult:
@@ -356,19 +355,15 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
         return params
 
     def evaluate(v1, v2):
-        converged = True
         try:
-            out = scheme.fn(with_axes(v1, v2), spec.mode)
-            if isinstance(out, Fdr2Result):
-                out, converged = out.value, out.converged
-            value = float(out)
+            value = float(scheme.fn(with_axes(v1, v2), spec.mode))
         except Exception as exc:  # noqa: BLE001 - cell isolation is the contract
             error = exc
         else:
             if math.isfinite(value):
-                return value, None, converged
+                return value, None
             error = f"non-finite value {value}"
-        return math.nan, f"{names[0]}={v1:.6g}, {names[1]}={v2:.6g}: {error}", True
+        return math.nan, f"{names[0]}={v1:.6g}, {names[1]}={v2:.6g}: {error}"
 
     cells = [(v1, v2) for v1 in a1 for v2 in a2]
     values = np.full(len(cells), math.nan)
@@ -381,10 +376,9 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
             pass
     redo = np.flatnonzero(~np.isfinite(values))
     outcomes = [evaluate(*cells[k]) for k in redo]
-    values[redo] = [v for v, _, _ in outcomes]
+    values[redo] = [v for v, _ in outcomes]
 
-    failures = tuple(msg for _, msg, _ in outcomes if msg is not None)
-    unconverged = sum(not ok for _, _, ok in outcomes)
+    failures = tuple(msg for _, msg in outcomes if msg is not None)
 
     def fmt(v: float) -> str:
         return f"{0.0 if v == 0.0 else v:.12g}"   # avoid '-0' rows
@@ -392,8 +386,7 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     lines = ["axis1,axis2,value"] + [f"{fmt(v1)},{fmt(v2)},{fmt(v)}"
                                      for (v1, v2), v in zip(cells, values.tolist())]
     return SweepResult(csv_text="\n".join(lines) + "\n",
-                       values=values.reshape(len(a1), len(a2)), failures=failures,
-                       unconverged=unconverged)
+                       values=values.reshape(len(a1), len(a2)), failures=failures)
 
 
 def figure3_spec(steps: int = 50, overrides: dict | None = None) -> SweepSpec:
@@ -453,7 +446,6 @@ class Figure4Result:
     dominance_gap: float        # max(F_SO - F_DR2) over the grid, operative mode
     sweep: SweepResult
     so_values: np.ndarray
-    unconverged: int            # optimizer cells at the iteration cap, both modes run
 
 
 FIG4_COVERAGE_BAND = (0.70, 0.90)
@@ -488,12 +480,10 @@ def figure4_run(steps: int = 25, overrides: dict | None = None) -> Figure4Result
     if in_band and gap_first <= 1e-6:
         return Figure4Result(mode="as-printed", coverage=coverage_first,
                              coverage_as_printed=coverage_first, dominance_gap=gap_first,
-                             sweep=first, so_values=so.values,
-                             unconverged=first.unconverged)
+                             sweep=first, so_values=so.values)
     second = run_sweep(spec_for("reprepare-originals"))
     coverage_second = float((second.values > FIG4_THRESHOLD).mean())
     gap_second = float((so.values - second.values).max())
     return Figure4Result(mode="reprepare-originals", coverage=coverage_second,
                          coverage_as_printed=coverage_first, dominance_gap=gap_second,
-                         sweep=second, so_values=so.values,
-                         unconverged=first.unconverged + second.unconverged)
+                         sweep=second, so_values=so.values)

@@ -304,18 +304,3 @@ class TestFigureCommands:
         err = capsys.readouterr().err
         assert "operative mode" in err
         assert "did not converge" not in err
-
-    def test_figure4_reports_unconverged_cells(self, tmp_path, capsys, monkeypatch):
-        import functools
-        import re
-
-        from isingcontrol import sweeps
-        from isingcontrol.optimize import OptimizerSettings
-
-        monkeypatch.setattr(sweeps, "OptimizerSettings",
-                            functools.partial(OptimizerSettings, max_refine_steps=1))
-        out = tmp_path / "fig4.csv"
-        assert main(["figure4", "--steps", "3", "--out", str(out)]) == 0
-        err = capsys.readouterr().err.splitlines()
-        assert err[0].startswith("figure4: operative mode ")
-        assert re.fullmatch(r"figure4: [1-9]\d* optimizer cell\(s\) did not converge", err[1])

@@ -77,6 +77,17 @@ class TestNormalizeFields:
         with pytest.raises(ValueError, match="j must lie"):
             IsingParams(b_plus=0.0, b_minus=0.0, j=0.7)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("entry", ["b_plus", "b_minus", "j", "scale"])
+    def test_params_reject_non_finite_entries(self, entry, bad):
+        fields = {"b_plus": 0.3, "b_minus": 0.0, "j": 0.5, "scale": 2.0, entry: bad}
+        with pytest.raises(ValueError, match="IsingParams entries must be finite"):
+            IsingParams(**fields)
+
+    def test_params_accept_numpy_scalars(self):
+        p = IsingParams(np.float64(0.3), np.float32(0.0), np.float64(0.5), np.int64(2))
+        assert (p.b_plus, p.b_minus, p.j, p.scale) == (0.3, 0.0, 0.5, 2)
+
     def test_negative_coupling_rejected(self):
         with pytest.raises(ValueError, match=">= 0"):
             PhysicalFields(0.0, 0.0, -1.0)

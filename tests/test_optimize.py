@@ -8,19 +8,17 @@ from isingcontrol.discrimination import (
     average_fidelity,
     computational_povm,
     f_so,
+    fold_angles,
     table1_povm,
 )
 from isingcontrol.optimize import (
     Fdr2Result,
     OptimizerSettings,
-    _align,
-    _angles,
-    _bloch,
     _correlations,
+    _svd_optimum,
     coordinate_ascent,
     group_probs_batch,
     optimize_fdr2,
-    seesaw,
     zero_field_fidelity_batch,
     zero_field_objective,
     zero_field_stationary_values,
@@ -31,14 +29,9 @@ from isingcontrol.states import evolved_pair_bj, initial_pair
 class TestSettings:
     def test_defaults(self):
         s = OptimizerSettings()
-        assert s.grid_per_axis == 8
         assert s.objective_mode == "as-printed"
 
     def test_validation(self):
-        with pytest.raises(ValueError, match="grid_per_axis"):
-            OptimizerSettings(grid_per_axis=2)
-        with pytest.raises(ValueError, match="refine_tolerance"):
-            OptimizerSettings(refine_tolerance=0.0)
         with pytest.raises(ValueError, match="objective_mode"):
             OptimizerSettings(objective_mode="other")
 
@@ -154,6 +147,26 @@ class TestOptimizeFdr2:
         assert isinstance(res, Fdr2Result)
         assert 0.0 <= res.value <= 1.0 + 1e-12
 
+    def test_degenerate_cell_choice_is_pinned(self):
+        # at zero field sigma_1 = sigma_2 = 1, so the SVD's top pair is one
+        # of many optimal bases; the returned one must still be fixed
+        theta, b_plus, j, t = math.pi / 4, 0.0, 0.5, 1.0
+        b1p, b2p = evolved_pair_bj(theta, b_plus, j, t)
+        a = _correlations(b1p) - _correlations(b2p)
+        s = np.linalg.svd(a, compute_uv=False)
+        assert s[0] - s[1] < 1e-12
+        res = optimize_fdr2(theta, b_plus, j, t)
+        again = optimize_fdr2(theta, b_plus, j, t)
+        assert (again.povm, again.value) == (res.povm, res.value)
+        assert res.value == pytest.approx(1.0, abs=1e-12)
+        # negating both Bloch vectors gives the other sign variant
+        t1, t2, a1, a2 = res.povm.angles()
+        flipped = fold_angles(math.pi - t1, math.pi - t2, a1 + math.pi, a2 + math.pi)
+        assert flipped != res.povm
+        assert res.povm.angles() < flipped.angles()
+        value = zero_field_fidelity_batch(theta, np.array([flipped.angles()]))[0]
+        assert value == pytest.approx(1.0, abs=1e-12)
+
 
 class TestStationaryValues:
     def test_seven_critical_values_at_theta_pi_3(self):
@@ -177,61 +190,39 @@ def weighted_objective(x, s1, s2, c1, c2):
 weights = st.floats(min_value=-1.0, max_value=1.0)
 
 
-class TestSeesaw:
+def bloch(theta, alpha):
+    """Bloch vectors (N, 3) of the delta states with the given angles."""
+    sin_t = np.sin(theta)
+    return np.stack([sin_t * np.cos(alpha), sin_t * np.sin(alpha), np.cos(theta)], axis=1)
+
+
+class TestSvdOptimum:
     @given(st.integers(0, 2**32 - 1), weights, weights)
     @settings(max_examples=50, deadline=None)
     def test_objective_is_bilinear_in_bloch_vectors(self, seed, c1, c2):
+        # the identity the closed form rests on
         rng = np.random.default_rng(seed)
         s1, s2 = random_state(rng), random_state(rng)
         x = rng.uniform(-2 * math.pi, 2 * math.pi, (64, 4))
         a = c1 * _correlations(s1) - c2 * _correlations(s2)
         bilinear = 0.5 * (c1 + c2) + 0.5 * np.einsum(
-            "na,ab,nb->n", _bloch(x[:, 0], x[:, 2]), a, _bloch(x[:, 1], x[:, 3]))
+            "na,ab,nb->n", bloch(x[:, 0], x[:, 2]), a, bloch(x[:, 1], x[:, 3]))
         np.testing.assert_allclose(weighted_objective(x, s1, s2, c1, c2), bilinear, atol=1e-14)
 
-    @given(st.integers(0, 2**32 - 1), weights, weights)
-    @settings(max_examples=100, deadline=None)
-    def test_half_step_beats_random_first_bases(self, seed, c1, c2):
+    @given(st.integers(0, 2**32 - 1), weights, weights,
+           st.floats(min_value=0.0, max_value=math.pi / 2))
+    @settings(max_examples=200, deadline=None)
+    def test_value_is_reached_and_never_beaten(self, seed, c1, c2, theta):
         rng = np.random.default_rng(seed)
         s1, s2 = random_state(rng), random_state(rng)
-        t2, a2 = rng.uniform(0, math.pi, 1), rng.uniform(0, 2 * math.pi, 1)
-        a = c1 * _correlations(s1) - c2 * _correlations(s2)
-        t1, a1 = _angles(_align(a, _bloch(t2, a2), np.array([[0.0, 0.0, 1.0]])))
-        best = weighted_objective(np.column_stack([t1, t2, a1, a2]), s1, s2, c1, c2)[0]
-        trial = np.column_stack([rng.uniform(0, math.pi, 256), np.full(256, t2[0]),
-                                 rng.uniform(0, 2 * math.pi, 256), np.full(256, a2[0])])
-        assert best >= weighted_objective(trial, s1, s2, c1, c2).max() - 1e-12
-
-    @given(st.integers(0, 2**32 - 1), weights, weights, st.integers(1, 50))
-    @settings(max_examples=100, deadline=None)
-    def test_never_below_any_start(self, seed, c1, c2, max_steps):
-        rng = np.random.default_rng(seed)
-        s1, s2 = random_state(rng), random_state(rng)
-        start = rng.uniform(0, 2 * math.pi, (11, 4))
-        pts, _ = seesaw(start, s1, s2, c1, c2, 1e-8, max_steps)
-        before = weighted_objective(start, s1, s2, c1, c2)
-        after = weighted_objective(pts, s1, s2, c1, c2)
-        assert (after >= before - 1e-12).all()
-
-    def test_fixed_point_is_stationary(self):
-        b1p, b2p = evolved_pair_bj(0.6, 1.4, 0.25, 0.8)
-        start = np.random.default_rng(3).uniform(0, 2 * math.pi, (4, 4))
-        pts, converged = seesaw(start, b1p, b2p, 0.4, 0.3, 1e-10, 5000)
-        assert converged
-        again, converged = seesaw(pts, b1p, b2p, 0.4, 0.3, 1e-10, 1)
-        assert converged
-        np.testing.assert_allclose(weighted_objective(again, b1p, b2p, 0.4, 0.3),
-                                   weighted_objective(pts, b1p, b2p, 0.4, 0.3), atol=1e-15)
-
-    def test_iteration_cap_reports_not_converged(self):
-        # a cell whose see-saw needs about 250 sweeps at the default tolerance
-        cell = (3 * math.pi / 8, 3.75, 1 / 6, math.pi / 2)
-        assert optimize_fdr2(*cell).converged
-        capped = optimize_fdr2(*cell, OptimizerSettings(max_refine_steps=1))
-        assert not capped.converged
-        theta = cell[0]
-        originals = initial_pair(theta)
-        distorted = evolved_pair_bj(*cell)
-        for povm in (computational_povm(), table1_povm(theta, "A"), table1_povm(theta, "B")):
-            seed_val = average_fidelity(originals, distorted, distorted, povm).avg_fidelity
-            assert capped.value >= seed_val - 1e-12
+        value, povm = _svd_optimum(s1, s2, c1, c2)
+        reached = weighted_objective(np.array([povm.angles()]), s1, s2, c1, c2)[0]
+        assert abs(value - reached) <= 1e-14
+        t1, t2, a1, a2 = povm.angles()   # the other sign variant must not be smaller
+        assert povm.angles() <= fold_angles(math.pi - t1, math.pi - t2,
+                                            a1 + math.pi, a2 + math.pi).angles()
+        trial = np.vstack([
+            rng.uniform([0, 0, 0, 0], [math.pi, math.pi, 2 * math.pi, 2 * math.pi], (256, 4)),
+            [computational_povm().angles(), table1_povm(theta, "A").angles(),
+             table1_povm(theta, "B").angles()]])
+        assert value >= weighted_objective(trial, s1, s2, c1, c2).max() - 1e-14
