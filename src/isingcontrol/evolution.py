@@ -62,9 +62,11 @@ class PhysicalFields:
         return self.b1 - self.b2
 
     @property
-    def scale(self) -> float:
-        """Energy scale R = sqrt(B-^2 + 4 J^2); zero iff b1 = b2 and j = 0."""
-        return float(np.hypot(self.b_minus, 2.0 * self.j))
+    def scale(self) -> float | np.ndarray:
+        """Energy scale R = sqrt(B-^2 + 4 J^2); zero iff b1 = b2 and j = 0.
+        A float for scalar fields, an array of the stack's shape otherwise."""
+        r = np.hypot(self.b_minus, 2.0 * self.j)
+        return r if isinstance(r, np.ndarray) else float(r)
 
 
 @dataclass(frozen=True)

@@ -5,10 +5,14 @@ independent numerical route, with one pass/fail line per suite.
 the production grids.  A propagator can be injected to exercise the
 negative control (a tampered closed form must fail the suite).
 
-The closed forms are called once per point.  The oracles run on stacks:
-blocks of STACK_CELLS points for the propagator (eigh) and Schmidt
-(eigvalsh) suites, and one theta row at a time for the state pipeline,
-which keeps the memory of a run near that of a point-by-point one.
+The closed forms are called once per point, on Python floats.  Everything
+around them runs on stacks: the propagator suite draws, validates and
+normalises its random models a block of STACK_CELLS at a time, and the
+oracles take blocks of STACK_CELLS points for the propagator (eigh) and
+Schmidt (one matmul of the block's propagators, then eigvalsh) suites and
+one theta row at a time for the state pipeline, which keeps the memory of
+a run near that of a point-by-point one.  With one BLAS thread on a 2-core
+VM a ``full`` run takes about 0.35 s in process.
 """
 from __future__ import annotations
 
@@ -20,10 +24,10 @@ import numpy as np
 
 from .discrimination import f_n, f_n_pipeline
 from .evolution import (
+    IsingParams,
     PhysicalFields,
     evolution_closed_form,
     evolution_oracle,
-    normalize_fields,
     params_from_bj,
 )
 from .linalg import projector
@@ -80,47 +84,49 @@ def _worst(deviations) -> float:
     return float(np.max(list(deviations), initial=0.0))
 
 
-def _propagator_draws(n_draws: int, propagator):
-    """(closed-form propagator, (b1, b2, j, t)) for each random draw whose
-    fields have a scale R >= 1e-9."""
-    rng = np.random.default_rng(1234)
-    for _ in range(n_draws):
-        j_phys = rng.uniform(0.0, 3.0)
-        b1, b2 = rng.uniform(-3.0, 3.0, 2)
-        fields = PhysicalFields(b1=b1, b2=b2, j=j_phys)
-        if fields.scale < 1e-9:
-            continue
-        t = rng.uniform(-2.0 * math.pi, 2.0 * math.pi)
-        p = normalize_fields(fields)
-        yield propagator(p, p.scale * t), (b1, b2, j_phys, t)
+# Bounds of the four uniforms of one propagator draw, in stream order.
+_DRAW_LOW = (0.0, -3.0, -3.0, -2.0 * math.pi)    # j, b1, b2, t
+_DRAW_HIGH = (3.0, 3.0, 3.0, 2.0 * math.pi)
 
 
 def _check_propagator(level: str, propagator) -> CheckResult:
-    def deviation(block):
-        closed, draws = zip(*block)
-        b1, b2, j, t = np.transpose(draws)
-        return np.abs(np.array(closed) - evolution_oracle(PhysicalFields(b1, b2, j), t)).max()
-
+    """Random physical models (j, b1, b2) and times t, drawn and validated a
+    block of STACK_CELLS at a time.  A draw takes its four doubles from the
+    stream whether it is kept or not; draws with a scale R < 1e-9 are not
+    compared."""
     n_draws = 10_000 if level == "full" else 2_000
-    worst = _worst(map(deviation, _blocks(_propagator_draws(n_draws, propagator))))
-    return CheckResult("propagator closed form vs spectral oracle", worst, 1e-10)
+    rng = np.random.default_rng(1234)
+    deviations = []
+    for start in range(0, n_draws, STACK_CELLS):
+        size = min(STACK_CELLS, n_draws - start)
+        j, b1, b2, t = rng.uniform(_DRAW_LOW, _DRAW_HIGH, (size, 4)).T
+        kept = PhysicalFields(b1, b2, j).scale >= 1e-9
+        fields, t = PhysicalFields(b1[kept], b2[kept], j[kept]), t[kept]
+        r = fields.scale
+        columns = (fields.b_plus / r, fields.b_minus / r, fields.j / r, r, r * t)
+        closed = [propagator(IsingParams(*p), rt) for *p, rt in zip(*(c.tolist() for c in columns))]
+        deviations.append(np.abs(np.array(closed) - evolution_oracle(fields, t)).max())
+    return CheckResult("propagator closed form vs spectral oracle", _worst(deviations), 1e-10)
 
 
 def _schmidt_points(n: int, propagator):
-    """(U(t) beta2, closed-form coefficients) over the (theta, j, t) grid."""
-    for theta in np.linspace(0.0, math.pi / 2.0, n):
+    """(U(t), beta2, closed-form coefficients) over the (theta, j, t) grid."""
+    thetas, js, ts = (np.linspace(0.0, end, n).tolist()
+                      for end in (math.pi / 2.0, 0.5, 2.0 * math.pi))
+    for theta in thetas:
         _, beta2 = initial_pair(theta)
-        for j in np.linspace(0.0, 0.5, n):
+        for j in js:
             p = params_from_bj(1.1, j)
-            for t in np.linspace(0.0, 2.0 * math.pi, n):
+            for t in ts:
                 closed = schmidt_closed_form(theta, j, t)
-                yield propagator(p, t) @ beta2, (closed.lambda1, closed.lambda2)
+                yield propagator(p, t), beta2, (closed.lambda1, closed.lambda2)
 
 
 def _check_schmidt(level: str, propagator) -> CheckResult:
     def deviation(block):
-        states, closed = zip(*block)
-        return np.abs(np.transpose(schmidt(np.array(states))) - closed).max()
+        u, beta2, closed = zip(*block)
+        states = (np.array(u) @ np.array(beta2)[..., None])[..., 0]
+        return np.abs(np.transpose(schmidt(states)) - closed).max()
 
     n = 20 if level == "full" else 8
     worst = _worst(map(deviation, _blocks(_schmidt_points(n, propagator))))
@@ -132,12 +138,13 @@ def _check_f_n(level: str, propagator) -> CheckResult:
     n_jt = 5 if level == "full" else 3
     b_plus, j, t = np.meshgrid(np.linspace(0.0, 5.0, n_b), np.linspace(0.0, 0.5, n_jt),
                                np.linspace(0.1, 2.0 * math.pi, n_jt), indexing="ij")
+    cells = list(zip(*(x.ravel().tolist() for x in (b_plus, j, t))))
 
     def deviation(theta):
-        closed = [f_n(theta, *cell) for cell in zip(b_plus.flat, j.flat, t.flat)]
+        closed = [f_n(theta, *cell) for cell in cells]
         return np.abs(np.reshape(closed, b_plus.shape) - f_n_pipeline(theta, b_plus, j, t)).max()
 
-    worst = _worst(map(deviation, np.linspace(0.0, math.pi / 2.0, n_th)))
+    worst = _worst(map(deviation, np.linspace(0.0, math.pi / 2.0, n_th).tolist()))
     return CheckResult("do-nothing closed form vs state pipeline", worst, 1e-9)
 
 

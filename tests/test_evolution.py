@@ -100,6 +100,16 @@ class TestNormalizeFields:
         with pytest.raises(ValueError, match=">= 0"):
             PhysicalFields(np.zeros(3), np.zeros(3), np.array([0.1, -1.0, 0.2]))
 
+    @given(field_stacks)
+    @settings(max_examples=100, deadline=None)
+    def test_stacked_scale_is_the_scale_of_each_entry(self, draws):
+        b1, b2, j, _ = np.array(draws).T
+        scale = PhysicalFields(b1, b2, j).scale
+        singles = [PhysicalFields(*draw[:3]).scale for draw in draws]
+        assert isinstance(scale, np.ndarray) and scale.shape == b1.shape
+        assert all(type(r) is float for r in singles)
+        np.testing.assert_array_equal(scale, singles)
+
 
 class TestHamiltonian:
     def test_pure_zeeman(self):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from isingcontrol import verify
-from isingcontrol.evolution import evolution_closed_form
+from isingcontrol.evolution import PhysicalFields, evolution_closed_form, normalize_fields
 from isingcontrol.verify import run_verify
 
 PROPAGATOR_SUITE = "propagator closed form vs spectral oracle"
@@ -84,11 +84,37 @@ class TestRunVerify:
             calls.append(t)
             return evolution_closed_form(p, t)
 
-        with mock.patch.object(verify, "f_n", wraps=verify.f_n) as f_n:
+        with mock.patch.object(verify, "f_n", wraps=verify.f_n) as f_n, \
+                mock.patch.object(verify, "schmidt_closed_form",
+                                  wraps=verify.schmidt_closed_form) as schmidt_closed_form:
             assert run_verify(level=level, propagator=counted).ok
         draws, schmidt_points, f_n_cells = POINTS[level]
         assert len(calls) == draws + schmidt_points
+        assert schmidt_closed_form.call_count == schmidt_points
         assert f_n.call_count == f_n_cells
+
+    def test_block_draws_equal_per_draw_stream(self):
+        """Drawing a block of models in one call takes the same doubles, in
+        the same order, as one draw at a time, across every block boundary
+        and in the partial tail block."""
+        draws = POINTS["full"][0]
+        assert (draws // verify.STACK_CELLS, draws % verify.STACK_CELLS) == (39, 16)
+        received = []
+
+        def recording(p, t):
+            received.append((p.b_plus, p.b_minus, p.j, p.scale, t))
+            return evolution_closed_form(p, t)
+
+        assert run_verify(level="full", propagator=recording).ok
+        rng = np.random.default_rng(1234)
+        expected = []
+        for _ in range(draws):
+            j = rng.uniform(0.0, 3.0)
+            b1, b2 = rng.uniform(-3.0, 3.0, 2)
+            t = rng.uniform(-2.0 * np.pi, 2.0 * np.pi)
+            p = normalize_fields(PhysicalFields(b1, b2, j))
+            expected.append((p.b_plus, p.b_minus, p.j, p.scale, p.scale * t))
+        assert received[:draws] == expected
 
     def test_rejects_unknown_level(self):
         with pytest.raises(ValueError, match="level"):
