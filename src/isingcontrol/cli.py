@@ -91,6 +91,7 @@ def parse_fix(text: str) -> tuple[str, float]:
 
 
 _CONFIG_OPTION_KEYS = ("mode", "steps", "scheme")
+CONFIG_MAX_CHARS = 64 * 1024   # a config is a few lines; /dev/zero must not fill memory
 
 
 def read_config(path: str | None) -> dict:
@@ -102,19 +103,22 @@ def read_config(path: str | None) -> dict:
     """
     if path is None:
         return {}
-    values = {}
     try:
         with open(path, encoding="utf-8") as fh:
-            for lineno, raw in enumerate(fh, 1):
-                line = raw.strip()
-                if not line or line.startswith("#"):
-                    continue
-                if "=" not in line:
-                    raise SystemExit2(f"{path}:{lineno}: expected key=value, got {line!r}")
-                key, value = line.split("=", 1)
-                values[key.strip()] = value.strip()
+            text = fh.read(CONFIG_MAX_CHARS + 1)
     except OSError as exc:
         raise SystemExit2(f"cannot read config {path!r}: {exc}") from None
+    if len(text) > CONFIG_MAX_CHARS:
+        raise SystemExit2(f"config {path!r} is longer than {CONFIG_MAX_CHARS} characters")
+    values = {}
+    for lineno, raw in enumerate(text.split("\n"), 1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise SystemExit2(f"{path}:{lineno}: expected key=value, got {line!r}")
+        key, value = line.split("=", 1)
+        values[key.strip()] = value.strip()
     return values
 
 

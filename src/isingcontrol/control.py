@@ -64,6 +64,17 @@ def unwrap_arctan(k: float, x: float) -> float:
     return math.copysign(math.pi, k) * n + math.atan(k * math.tan(rem))
 
 
+def situation2_phases(b_minus: float, j: float, r: float, t: float) -> tuple[float, float]:
+    """The unwrapped situation-2 phases (phi, phi') at scale R and time t:
+
+        phi  = unwrapped arctan( (B- - 2J)/R tan R t )
+        phi' = unwrapped arctan( (B- + 2J)/R tan R t )
+    """
+    rt = r * t
+    return (unwrap_arctan((b_minus - 2.0 * j) / r, rt),
+            unwrap_arctan((b_minus + 2.0 * j) / r, rt))
+
+
 def _apply_unitary(u: np.ndarray, state_or_rho: np.ndarray) -> np.ndarray:
     arr = np.asarray(state_or_rho, dtype=complex)
     if arr.shape == (4,):
@@ -163,8 +174,7 @@ class Situation2Plan:
 def plan_situation2(t: float, fields: PhysicalFields, duration: float, n: int, m: int) -> Situation2Plan:
     """Solve the local-field products for the separated-particle correction.
 
-        phi  = unwrapped arctan( (B- - 2J)/R tan R t )
-        phi' = unwrapped arctan( (B- + 2J)/R tan R t )
+        phi, phi' = situation2_phases(B-, J, R, t)
         r    = sqrt(1 - (4 J B- / R^2) sin^2 R t)
         r'   = sqrt(1 + (4 J B- / R^2) sin^2 R t)
         B+' T = n pi - B+ t
@@ -179,8 +189,7 @@ def plan_situation2(t: float, fields: PhysicalFields, duration: float, n: int, m
         raise ValueError("situation-2 planning needs a nonzero coupling during distortion")
     r_scale = fields.scale
     rt = r_scale * t
-    phi = unwrap_arctan((fields.b_minus - 2.0 * fields.j) / r_scale, rt)
-    phi_prime = unwrap_arctan((fields.b_minus + 2.0 * fields.j) / r_scale, rt)
+    phi, phi_prime = situation2_phases(fields.b_minus, fields.j, r_scale, t)
     ratio = 4.0 * fields.j * fields.b_minus / r_scale**2
     r = math.sqrt(max(0.0, 1.0 - ratio * math.sin(rt) ** 2))
     r_prime = math.sqrt(1.0 + ratio * math.sin(rt) ** 2)

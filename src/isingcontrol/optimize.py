@@ -1,5 +1,6 @@
 """Exact maximization of the average fidelity over the local measurement
-family (four angles), plus the zero-field stationary structure.
+family (four angles), plus the zero-field stationary points, both in
+closed form from one 3x3 SVD.
 
 The objective for fixed (theta, b+, j, t) is affine in the two group
 probabilities,
@@ -110,6 +111,9 @@ def coordinate_ascent(objective, points: np.ndarray, step0: float,
     improvements; when a full sweep improves nothing the step halves.
     Returns (points, values, converged); converged is False when the sweep
     budget ran out before the step fell below the tolerance.
+
+    Nothing in the package calls it any more; it stays because the
+    benchmark's tracer (``perfbench/tracing.py``) wraps it by name.
     """
     pts = points.copy()
     vals = objective(pts)
@@ -210,58 +214,64 @@ def zero_field_fidelity_batch(theta: float, x: np.ndarray) -> np.ndarray:
     return 0.5 * (p1 + p2)
 
 
-def _stationary_seed_angles(theta: float) -> np.ndarray:
-    """Candidates hitting the known stationary families, including the
-    boundary corners (theta_i in {0, pi} with free phases) that random
-    descent tends to miss."""
-    th2 = math.atan2(math.sin(2.0 * theta), 2.0 * math.sin(theta) ** 2)
-    half = math.pi / 2.0
-    ta = (math.pi - 2.0 * theta) / 2.0
-    tb = (math.pi + 2.0 * theta) / 2.0
-    return np.array([
-        [0.0, 0.0, 0.0, 0.0],
-        [ta, ta, 0.0, 0.0],
-        [tb, tb, math.pi, math.pi],
-        [0.0, th2, half, 0.0],
-        [0.0, math.pi - th2, half, math.pi],
-        [0.0, 0.0, half, half],
-        [0.0, math.pi, half, half],
-        [math.pi, 0.0, half, half],
-        [math.pi, math.pi, 0.0, 0.0],
-    ])
+def _stationary_angles(n: np.ndarray, field: np.ndarray) -> tuple[float, float]:
+    """:func:`_angles` of n, except that at a pole, where the phase is free,
+    the phase makes (cos a, sin a, 0) orthogonal to the partner's field, so
+    that the polar derivative vanishes there too."""
+    t, alpha = _angles(n)
+    if n[0] == n[1] == 0.0:
+        alpha = math.atan2(-field[0], field[1])
+    return t, alpha
 
 
-def zero_field_stationary_values(theta: float, n_random: int = 48,
-                                 rng_seed: int = 20240, grad_tol: float = 1e-7) -> np.ndarray:
+def _stationary_points(theta: float) -> np.ndarray:
+    """Angles (18, 4) of one point per stationary family member at zero field.
+
+    At zero field F = 1/2 + n1 . (A n2)/2 with A = (T(beta1) - T(beta2))/2.
+    In the four angles a point is stationary when each Bloch vector is
+    parallel to its field (A n2 for n1, A^T n1 for n2) or sits at a pole
+    with the phase of :func:`_stationary_angles`.  That gives four
+    families: the singular pairs (u_k, +-v_k); n1 = +-z with
+    n2 = +-A^T n1/|A^T n1|; n2 = +-z with n1 = +-A n2/|A n2|; and both
+    vectors at poles.  Their values are 1/2 +- v/2 for v in sigma_1,
+    sigma_2, sigma_3, |A^T z|, |A z| and |A_zz|.
+    """
+    b1, b2 = initial_pair(theta)
+    a = 0.5 * (_correlations(b1) - _correlations(b2))
+    u, _, vt = np.linalg.svd(a)
+    z = np.array([0.0, 0.0, 1.0])
+
+    def unit(v):
+        # a zero field leaves the vector free; the pole is as good as any
+        norm = np.linalg.norm(v)
+        return v / norm if norm > 0.0 else z
+
+    pairs = [(u[:, k], sign * vt[k]) for k in range(3) for sign in (1.0, -1.0)]
+    for pole in (z, -z):
+        for sign in (1.0, -1.0):
+            pairs += [(pole, sign * unit(a.T @ pole)),
+                      (sign * unit(a @ pole), pole),
+                      (pole, sign * z)]
+    points = []
+    for n1, n2 in pairs:
+        (t1, a1), (t2, a2) = _stationary_angles(n1, a @ n2), _stationary_angles(n2, a.T @ n1)
+        points.append((t1, t2, a1, a2))
+    return np.array(points)
+
+
+def zero_field_stationary_values(theta: float, grad_tol: float = 1e-7) -> np.ndarray:
     """Fidelity values at stationary points of the zero-field objective.
 
-    Minimizes the squared gradient norm (central differences) by batched
-    coordinate descent from targeted plus random seeds and returns the
-    sorted fidelities of every point whose gradient magnitude fell below
-    ``grad_tol``.
+    Builds the candidates of :func:`_stationary_points` and returns the
+    sorted fidelities of those whose central-difference gradient, taken
+    through the independent scorer :func:`group_probs_batch`, has magnitude
+    below ``grad_tol``.
     """
+    x = _stationary_points(theta)
     h = 1e-6
-    shifts = np.zeros((8, 4))
-    for k in range(4):
-        shifts[2 * k, k] = h
-        shifts[2 * k + 1, k] = -h
-
-    def grad_norm2(x: np.ndarray) -> np.ndarray:
-        probe = (x[:, None, :] + shifts[None, :, :]).reshape(-1, 4)
-        f = zero_field_fidelity_batch(theta, probe).reshape(-1, 8)
-        g = (f[:, 0::2] - f[:, 1::2]) / (2.0 * h)
-        return (g ** 2).sum(axis=1)
-
-    rng = np.random.default_rng(rng_seed)
-    random_seeds = rng.uniform(
-        [0.0, 0.0, 0.0, 0.0], [math.pi, math.pi, 2.0 * math.pi, 2.0 * math.pi],
-        size=(n_random, 4))
-    seeds = np.vstack([_stationary_seed_angles(theta), random_seeds])
-
-    pts, g2, _ = coordinate_ascent(
-        lambda x: -grad_norm2(x), seeds, step0=0.4,
-        tolerance=1e-10, max_steps=4000)
-    keep = (-g2) < grad_tol**2
-    if not keep.any():
-        return np.array([])
-    return np.sort(zero_field_fidelity_batch(theta, pts[keep]))
+    steps = h * np.vstack([np.eye(4), -np.eye(4)])
+    f = zero_field_fidelity_batch(theta, (x[:, None, :] + steps).reshape(-1, 4))
+    f = f.reshape(-1, 8)
+    grad = (f[:, :4] - f[:, 4:]) / (2.0 * h)
+    keep = np.linalg.norm(grad, axis=1) < grad_tol
+    return np.sort(zero_field_fidelity_batch(theta, x[keep]))

@@ -17,11 +17,9 @@ t0/s = 3 (the working range of the fidelity surfaces) as suspect.
 
 The repreparation fidelities F1 and F2 apply the protocol planned at
 t = t0 to the mixed state and score 1/2 (Tr rho1 rho1'' + Tr rho2 rho2''),
-the no-measurement form of the average fidelity.  The corresponding
-printed closed forms are retained verbatim (``f1_printed``/``f2_printed``)
-for deviation reporting only; their decay exponents are garbled, so the
-pipeline is authoritative.  The do-nothing closed form ``f_n_mix`` is
-correct and cross-checked against its pipeline on every call.
+the no-measurement form of the average fidelity, from the density-matrix
+pipeline.  The do-nothing closed form ``f_n_mix`` is correct and
+cross-checked against its pipeline on every call.
 """
 from __future__ import annotations
 
@@ -42,7 +40,6 @@ from .evolution import (
     IsingParams,
     PhysicalFields,
     evolution_closed_form,
-    normalize_fields,
     params_from_bj,
     propagate,
     propagator_entries,
@@ -291,26 +288,6 @@ def f1_correction(p: IsingParams, t0: float, n: int, m: int) -> np.ndarray:
     return evolution_closed_form(corrected, plan.duration)
 
 
-def f1_printed(theta: float, b_plus: float, j: float, t0: float, s: float, n: int) -> float:
-    """Printed closed form of the quasi-loop fidelity, transcribed verbatim
-    for deviation reporting (its decay exponents are not squared and one
-    cos factor pairs differently than the pipeline; do not use for results).
-    """
-    c2 = math.cos(theta) ** 2
-    s2t = math.sin(theta) ** 2
-    jj4 = 4.0 * j * j
-    cosj = math.cos(4.0 * j * n * math.pi)
-    g_1 = ((1.0 - 2.0 * j) * math.exp(-0.5 * (1.0 + b_plus + 2.0 * j) * s * s) * cosj
-           + (1.0 - 2.0 * j) * math.exp(-0.5 * (1.0 - b_plus + 2.0 * j) * s * s)
-           + (1.0 + 2.0 * j) * math.exp(-0.5 * (1.0 - b_plus - 2.0 * j) * s * s) * cosj
-           + (1.0 + 2.0 * j) * math.exp(-0.5 * (1.0 + b_plus - 2.0 * j) * s * s))
-    return 0.25 * (
-        (1.0 + math.exp(-2.0 * (b_plus * s) ** 2) * cosj) * (1.0 + c2 * c2)
-        + g_1 * c2 * s2t
-        + ((1.0 + jj4) + (1.0 - jj4) * math.exp(-2.0 * s * s)) * s2t * s2t
-    )
-
-
 def f2(theta: float, fields: PhysicalFields, t0: float, s: float,
        duration: float, n: int, m: int) -> float:
     """Local-field repreparation fidelity on the mixed pair (pipeline).
@@ -328,36 +305,6 @@ def f2_correction(fields: PhysicalFields, t0: float, duration: float,
     """Propagator of the local-field correction planned at t = t0."""
     plan = plan_situation2(t0, fields, duration, n, m)
     return local_propagator(plan.b_plus_prime, plan.b_minus_prime, plan.duration)
-
-
-def f2_printed(theta: float, fields: PhysicalFields, t0: float, s: float,
-               n: int, m: int) -> float:
-    """Printed closed form of the local-field fidelity, transcribed verbatim
-    for deviation reporting (the exponent '(1 + p b+ 2 q j)' is a known
-    misprint, the phase Delta is defined as phi + phi' there, and the cos
-    argument carries no t0; do not use for results).
-    """
-    p = normalize_fields(fields)
-    b_plus, b_minus, j = p.b_plus, p.b_minus, p.j
-    plan = plan_situation2(t0, fields, 1.0, n, m)
-    delta = plan.phi + plan.phi_prime
-    c2 = math.cos(theta) ** 2
-    s2t = math.sin(theta) ** 2
-    jj4 = 4.0 * j * j
-    g_2 = 0.0
-    for pp in (-1.0, 1.0):
-        for q in (-1.0, 1.0):
-            for rr in (-1.0, 1.0):
-                g_2 += ((-1.0) ** m * (1.0 - q * rr * b_minus - 2.0 * q * j)
-                        * math.exp(-0.5 * (1.0 + pp * b_plus + 2.0 * q * j) * s * s)
-                        * math.cos(q + 2.0 * j + rr * delta / 2.0))
-    return 0.25 * (
-        (1.0 + math.exp(-2.0 * (b_plus * s) ** 2)) * (1.0 + c2 * c2)
-        + g_2 * c2 * s2t
-        + ((1.0 + jj4 * math.cos(delta))
-           + b_minus * math.exp(-2.0 * s * s) * math.sin(delta) * math.sin(2.0 * t0)
-           + (1.0 - jj4) * math.exp(-2.0 * s * s) * math.cos(delta) * math.cos(2.0 * t0)) * s2t * s2t
-    )
 
 
 @dataclass(frozen=True)

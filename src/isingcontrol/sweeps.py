@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .control import unwrap_arctan
+from .control import situation2_phases
 from .discrimination import (
     f_ab,
     f_ab_grid,
@@ -135,10 +135,7 @@ def default_situation1_indices(t0: float, p: IsingParams) -> tuple[int, int]:
 
 def default_situation2_indices(t0: float, fields: PhysicalFields) -> tuple[int, int]:
     """(n, m) minimizing the magnitudes of the correcting field products."""
-    r = fields.scale
-    rt = r * t0
-    phi = unwrap_arctan((fields.b_minus - 2.0 * fields.j) / r, rt)
-    phi_prime = unwrap_arctan((fields.b_minus + 2.0 * fields.j) / r, rt)
+    phi, phi_prime = situation2_phases(fields.b_minus, fields.j, fields.scale, t0)
     n = round(fields.b_plus * t0 / math.pi)
     m = round(((phi + phi_prime) / 2.0) / math.pi) - n
     return int(n), int(m)
@@ -225,10 +222,7 @@ def _eval_f_curve(params, mode):
     # f(B- t, 2J t) with 2J = 1 and B- = ratio, so R = sqrt(ratio^2 + 1)
     ratio, t = params["ratio"], params["t"]
     j = 0.5
-    r = math.hypot(ratio, 2.0 * j)
-    rt = r * t
-    phi = unwrap_arctan((ratio - 2.0 * j) / r, rt)
-    phi_prime = unwrap_arctan((ratio + 2.0 * j) / r, rt)
+    phi, phi_prime = situation2_phases(ratio, j, math.hypot(ratio, 2.0 * j), t)
     return phi - phi_prime - 4.0 * j * t
 
 

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import isingcontrol
-from isingcontrol.cli import main, parse_axis, parse_number
+from isingcontrol.cli import CONFIG_MAX_CHARS, main, parse_axis, parse_number
 
 
 # arithmetic that parse_number accepts: numbers, pi and e under + - * / and parentheses
@@ -272,6 +272,23 @@ class TestConfigFile:
         code = main(["surface", "--scheme", "dr1", "--axis1", "theta:0:1:2",
                      "--axis2", "dummy:0:1:2", "--config", "/nonexistent.cfg"])
         assert code == 2
+
+    @pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="needs /dev/zero")
+    def test_endless_config_exits_2(self, capsys):
+        # one endless line: the read must stop at the size bound
+        assert main(["figure3", "--config", "/dev/zero"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "longer than" in err
+
+    def test_config_just_over_the_bound_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "fig.cfg"
+        at_bound = "steps=2\n" + "#" * (CONFIG_MAX_CHARS - 8)
+        cfg.write_text(at_bound)
+        assert main(["figure3", "--config", str(cfg)]) == 0
+        capsys.readouterr()
+        cfg.write_text(at_bound + "\n")
+        assert main(["figure3", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 class TestVerifyCommand:

@@ -168,6 +168,9 @@ class TestOptimizeFdr2:
         assert value == pytest.approx(1.0, abs=1e-12)
 
 
+EDGE_AND_INNER_THETAS = [0.0, 1e-3, math.pi / 8, math.pi / 3, 1.2, math.pi / 2]
+
+
 class TestStationaryValues:
     def test_seven_critical_values_at_theta_pi_3(self):
         from isingcontrol.discrimination import critical_fidelities
@@ -175,6 +178,35 @@ class TestStationaryValues:
         assert len(vals)
         for target in critical_fidelities(math.pi / 3):
             assert np.min(np.abs(vals - target)) < 1e-6
+
+    @pytest.mark.parametrize("theta", EDGE_AND_INNER_THETAS)
+    def test_values_are_exactly_the_critical_fidelities(self, theta):
+        # the same set both ways: every value is critical and every critical
+        # value is found, also at the edges where values coincide or crowd
+        from isingcontrol.discrimination import critical_fidelities
+        gaps = np.abs(zero_field_stationary_values(theta)[:, None]
+                      - np.array(critical_fidelities(theta))[None, :])
+        assert gaps.min(axis=1).max() < 1e-9
+        assert gaps.min(axis=0).max() < 1e-9
+
+    @pytest.mark.parametrize("theta", EDGE_AND_INNER_THETAS)
+    def test_every_candidate_is_stationary(self, theta):
+        # gradient through the matrix pipeline, a scorer independent of both
+        # the SVD and group_probs_batch; no candidate may be filtered out
+        from isingcontrol.discrimination import average_fidelity
+        from isingcontrol.optimize import _stationary_points
+
+        pair = initial_pair(theta)
+
+        def fidelity(x):
+            return average_fidelity(pair, pair, pair, fold_angles(*x)).avg_fidelity
+
+        points = _stationary_points(theta)
+        h = 1e-5
+        for x in points:
+            grad = [(fidelity(x + h * e) - fidelity(x - h * e)) / (2 * h) for e in np.eye(4)]
+            assert np.linalg.norm(grad) < 1e-8
+        assert len(zero_field_stationary_values(theta)) == len(points) == 18
 
 
 def random_state(rng):
