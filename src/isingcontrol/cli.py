@@ -10,7 +10,8 @@ Subcommands:
     figure5a/b/c  presets: mixed-state surfaces over (theta, s)
 
 Exit codes: 0 success, 1 verification failure, 2 usage or precondition
-error, 3 a grid cell failed numerically (its value is emitted as ``nan``).
+error (an arithmetic overflow included), 3 a grid cell failed numerically
+(its value is emitted as ``nan``).
 """
 from __future__ import annotations
 
@@ -37,6 +38,7 @@ from .control import (
     plan_situation2,
 )
 from .evolution import PhysicalFields, params_from_bj
+from .optimize import OBJECTIVE_MODES
 from .states import initial_pair
 from .verify import run_verify
 
@@ -259,8 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
     surface.add_argument("--axis2", required=True, type=parse_axis,
                          metavar="name:min:max:steps")
     surface.add_argument("--fix", action="append", type=parse_fix, metavar="name=value")
-    surface.add_argument("--mode", default=None,
-                         choices=["as-printed", "reprepare-originals"])
+    surface.add_argument("--mode", default=None, choices=OBJECTIVE_MODES)
     surface.add_argument("--out", default=None, help="output path (default stdout)")
     surface.add_argument("--config", default=None,
                          help="key=value file; flags beat it, it beats presets")
@@ -335,7 +336,7 @@ def main(argv=None) -> int:
         if args.command == "plan":
             _validate_plan_args(args)
         return args.fn(args)
-    except (SystemExit2, ValueError) as exc:
+    except (SystemExit2, ValueError, ArithmeticError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

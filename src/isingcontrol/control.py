@@ -102,6 +102,16 @@ class Situation1Plan:
     t: float
     params: IsingParams
 
+    def correction(self) -> np.ndarray:
+        """Propagator of the planned correction: the field raised by
+        delta_b+ for the duration T."""
+        p = self.params
+        corrected = IsingParams(
+            b_plus=p.b_plus + self.delta_b_plus,
+            b_minus=p.b_minus, j=p.j, scale=p.scale,
+        )
+        return evolution_closed_form(corrected, self.duration)
+
 
 def plan_situation1(t: float, p: IsingParams, n: int, m: int) -> Situation1Plan:
     """Choose (T, delta_b+) so that U_{b+ + db+}(T) U_{b+}(t) closes a loop.
@@ -131,11 +141,7 @@ def situation1_composite(plan: Situation1Plan, p: IsingParams) -> np.ndarray:
     """Full propagator of distortion followed by the planned correction."""
     if p != plan.params:
         raise ValueError("plan was built for different Ising parameters")
-    corrected = IsingParams(
-        b_plus=p.b_plus + plan.delta_b_plus,
-        b_minus=p.b_minus, j=p.j, scale=p.scale,
-    )
-    return evolution_closed_form(corrected, plan.duration) @ evolution_closed_form(p, plan.t)
+    return plan.correction() @ evolution_closed_form(p, plan.t)
 
 
 def apply_situation1(plan: Situation1Plan, p: IsingParams, state_or_rho: np.ndarray) -> np.ndarray:
@@ -170,6 +176,10 @@ class Situation2Plan:
     t: float
     fields: PhysicalFields
 
+    def correction(self) -> np.ndarray:
+        """Propagator of the planned local fields over the duration T."""
+        return local_propagator(self.b_plus_prime, self.b_minus_prime, self.duration)
+
 
 def plan_situation2(t: float, fields: PhysicalFields, duration: float, n: int, m: int) -> Situation2Plan:
     """Solve the local-field products for the separated-particle correction.
@@ -182,6 +192,8 @@ def plan_situation2(t: float, fields: PhysicalFields, duration: float, n: int, m
 
     Only the products B+'T, B-'T are physical; the duration is a free
     choice, so it is taken as input and the fields are derived from it.
+    Raises if a derived field is not finite (a product that overflows, or
+    a duration so short that the quotient does).
     """
     if duration <= 0.0:
         raise ValueError(f"correction duration must be positive, got {duration}")
@@ -195,9 +207,15 @@ def plan_situation2(t: float, fields: PhysicalFields, duration: float, n: int, m
     r_prime = math.sqrt(1.0 + ratio * math.sin(rt) ** 2)
     f_value = phi - phi_prime - 4.0 * fields.j * t
     middle_phase = -(m * math.pi + (phi - phi_prime + 4.0 * fields.j * t) / 2.0)
+    b_plus_prime = (n * math.pi - fields.b_plus * t) / duration
+    b_minus_prime = ((m + n) * math.pi - (phi + phi_prime) / 2.0) / duration
+    if not (math.isfinite(b_plus_prime) and math.isfinite(b_minus_prime)):
+        raise ValueError(
+            f"correcting fields are not finite: B_plus_prime = {b_plus_prime}, "
+            f"B_minus_prime = {b_minus_prime} for T = {duration}")
     return Situation2Plan(
-        b_plus_prime=(n * math.pi - fields.b_plus * t) / duration,
-        b_minus_prime=((m + n) * math.pi - (phi + phi_prime) / 2.0) / duration,
+        b_plus_prime=b_plus_prime,
+        b_minus_prime=b_minus_prime,
         duration=duration,
         r=r, r_prime=r_prime,
         delta_phase=-(m * math.pi + f_value / 2.0),
@@ -217,8 +235,7 @@ def situation2_composite(plan: Situation2Plan, fields: PhysicalFields, t: float)
     """Distortion under the full interaction, then the planned local fields."""
     if fields != plan.fields or t != plan.t:
         raise ValueError("plan was built for different fields or distortion time")
-    correction = local_propagator(plan.b_plus_prime, plan.b_minus_prime, plan.duration)
-    return correction @ evolution_closed_form(normalize_fields(fields), fields.scale * t)
+    return plan.correction() @ evolution_closed_form(normalize_fields(fields), fields.scale * t)
 
 
 def apply_situation2(plan: Situation2Plan, fields: PhysicalFields, t: float,

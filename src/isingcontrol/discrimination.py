@@ -106,16 +106,6 @@ def _single_qubit_pair(xp, theta, alpha):
     return np.stack([c, e * s], axis=-1), np.stack([s, -e * c], axis=-1)
 
 
-def _weight(outcome: np.ndarray, state_or_rho: np.ndarray) -> float:
-    """Probability of a measurement outcome in a pure state or density."""
-    arr = np.asarray(state_or_rho, dtype=complex)
-    if arr.shape == (4,):
-        return float(abs(np.vdot(outcome, arr)) ** 2)
-    if arr.shape == (4, 4):
-        return float(np.real(np.vdot(outcome, arr @ outcome)))
-    raise ValueError(f"expected a 4-vector or 4x4 matrix, got shape {arr.shape}")
-
-
 def helstrom(rho1_distorted, rho2_distorted, povm: LocalPovm) -> tuple[float, float]:
     """Success probabilities of the two-outcome-group vote.
 
@@ -124,7 +114,7 @@ def helstrom(rho1_distorted, rho2_distorted, povm: LocalPovm) -> tuple[float, fl
     or density matrices (the mixed case uses the same unsquared expectation
     sums; squaring them would not reduce to the pure case).
     """
-    return _votes(povm_states(povm), rho1_distorted, rho2_distorted, _weight)
+    return _votes(povm_states(povm), rho1_distorted, rho2_distorted, state_fidelity)
 
 
 def _votes(outcomes, first, second, weight):

@@ -118,11 +118,11 @@ def b_minus_magnitude(j):
     return np.sqrt(np.maximum(0.0, 1.0 - 4.0 * j * j))
 
 
-def params_from_bj(b_plus: float, j: float, b_minus_sign: float = 1.0) -> IsingParams:
-    """Build normalized parameters from (b+, j), fixing |b-| by the constraint."""
+def params_from_bj(b_plus: float, j: float) -> IsingParams:
+    """Build normalized parameters from (b+, j), with b- >= 0 fixed by the
+    constraint."""
     check_coupling(j)
-    b_minus = np.copysign(b_minus_magnitude(j), b_minus_sign)
-    return IsingParams(b_plus=b_plus, b_minus=float(b_minus), j=j)
+    return IsingParams(b_plus=b_plus, b_minus=float(b_minus_magnitude(j)), j=j)
 
 
 def normalize_fields(fields: PhysicalFields) -> IsingParams:

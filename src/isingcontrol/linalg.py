@@ -13,6 +13,7 @@ import numpy as np
 
 HERMITIAN_TOL = 1e-10
 TRACE_TOL = 1e-10
+STACK_CELLS = 256           # 4x4 complex matrices per stacked block (64 KiB a block)
 
 
 def dag(m: np.ndarray) -> np.ndarray:
@@ -32,7 +33,7 @@ def max_asymmetry(m: np.ndarray) -> float:
     return float(np.abs(m - dag(m)).max())
 
 
-def require_hermitian(m: np.ndarray, tol: float = HERMITIAN_TOL, name: str = "matrix") -> np.ndarray:
+def require_hermitian(m: np.ndarray, name: str = "matrix") -> np.ndarray:
     """m as a complex array, checked to be a finite Hermitian 2x2 or 4x4
     matrix, or a (..., n, n) stack of them (the worst entry of the stack
     decides)."""
@@ -42,24 +43,25 @@ def require_hermitian(m: np.ndarray, tol: float = HERMITIAN_TOL, name: str = "ma
     if not np.all(np.isfinite(m.view(float))):
         raise ValueError(f"{name} has non-finite entries")
     asym = max_asymmetry(m)
-    if asym > tol:
-        raise ValueError(f"{name} is not Hermitian: max asymmetry {asym:.3e} exceeds {tol:.1e}")
+    if asym > HERMITIAN_TOL:
+        raise ValueError(
+            f"{name} is not Hermitian: max asymmetry {asym:.3e} exceeds {HERMITIAN_TOL:.1e}")
     return m
 
 
-def hermitian_eigenvalues(m: np.ndarray, tol: float = HERMITIAN_TOL) -> np.ndarray:
+def hermitian_eigenvalues(m: np.ndarray) -> np.ndarray:
     """Eigenvalues of a Hermitian 2x2 or 4x4 matrix, sorted descending;
     for a stack of matrices, along the last axis."""
-    m = require_hermitian(m, tol)
+    m = require_hermitian(m)
     return np.linalg.eigvalsh(m)[..., ::-1]
 
 
-def trace_norm(m: np.ndarray, tol: float = HERMITIAN_TOL) -> float:
+def trace_norm(m: np.ndarray) -> float:
     """Sum of absolute eigenvalues of a Hermitian matrix (nuclear norm)."""
-    return float(np.abs(hermitian_eigenvalues(m, tol)).sum())
+    return float(np.abs(hermitian_eigenvalues(m)).sum())
 
 
-def partial_trace(rho: np.ndarray, traced: int, tol: float = HERMITIAN_TOL) -> np.ndarray:
+def partial_trace(rho: np.ndarray, traced: int) -> np.ndarray:
     """Trace out one qubit of a two-qubit density matrix.
 
     ``traced`` is the qubit removed (1 or 2, matching the tensor order of the
@@ -69,9 +71,9 @@ def partial_trace(rho: np.ndarray, traced: int, tol: float = HERMITIAN_TOL) -> n
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (4, 4):
         raise ValueError(f"density matrix must be 4x4, got shape {rho.shape}")
-    require_hermitian(rho, tol, name="density matrix")
+    require_hermitian(rho, name="density matrix")
     tr = rho.trace().real
-    if abs(tr - 1.0) > max(TRACE_TOL, tol):
+    if abs(tr - 1.0) > TRACE_TOL:
         raise ValueError(f"density matrix trace {tr:.12f} is not 1")
     r = rho.reshape(2, 2, 2, 2)
     if traced == 2:

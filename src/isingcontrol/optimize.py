@@ -35,18 +35,7 @@ from .discrimination import LocalPovm, fold_angles, state_fidelity
 from .states import evolved_pair_bj, initial_pair
 
 OBJECTIVE_MODES = ("as-printed", "reprepare-originals")
-
-
-@dataclass(frozen=True)
-class OptimizerSettings:
-    """``objective_mode`` picks the objective (see the module docstring)."""
-
-    objective_mode: str = "as-printed"
-
-    def __post_init__(self):
-        if self.objective_mode not in OBJECTIVE_MODES:
-            raise ValueError(
-                f"objective_mode must be one of {OBJECTIVE_MODES}, got {self.objective_mode!r}")
+STATIONARY_GRAD_TOL = 1e-7   # gradient norm below which a candidate counts as stationary
 
 
 @dataclass(frozen=True)
@@ -174,15 +163,16 @@ def _svd_optimum(state1, state2, c1: float, c2: float) -> tuple[float, LocalPovm
 
 
 def optimize_fdr2(theta: float, b_plus: float, j: float, t: float,
-                  settings: OptimizerSettings | None = None) -> Fdr2Result:
+                  mode: str = "as-printed") -> Fdr2Result:
     """Maximize the average fidelity over the four measurement angles, exactly.
 
+    ``mode`` is one of OBJECTIVE_MODES (see the module docstring).
     Deterministic: where several bases reach the optimum, the choice is
     the fixed rule of :func:`_svd_optimum`.
     """
-    settings = settings or OptimizerSettings()
-    b1p, b2p, const, c1, c2 = _objective_coefficients(
-        theta, b_plus, j, t, settings.objective_mode)
+    if mode not in OBJECTIVE_MODES:
+        raise ValueError(f"mode must be one of {OBJECTIVE_MODES}, got {mode!r}")
+    b1p, b2p, const, c1, c2 = _objective_coefficients(theta, b_plus, j, t, mode)
     value, povm = _svd_optimum(b1p, b2p, c1, c2)
     return Fdr2Result(povm=povm, value=const + value)
 
@@ -259,13 +249,13 @@ def _stationary_points(theta: float) -> np.ndarray:
     return np.array(points)
 
 
-def zero_field_stationary_values(theta: float, grad_tol: float = 1e-7) -> np.ndarray:
+def zero_field_stationary_values(theta: float) -> np.ndarray:
     """Fidelity values at stationary points of the zero-field objective.
 
     Builds the candidates of :func:`_stationary_points` and returns the
     sorted fidelities of those whose central-difference gradient, taken
     through the independent scorer :func:`group_probs_batch`, has magnitude
-    below ``grad_tol``.
+    below STATIONARY_GRAD_TOL.
     """
     x = _stationary_points(theta)
     h = 1e-6
@@ -273,5 +263,5 @@ def zero_field_stationary_values(theta: float, grad_tol: float = 1e-7) -> np.nda
     f = zero_field_fidelity_batch(theta, (x[:, None, :] + steps).reshape(-1, 4))
     f = f.reshape(-1, 8)
     grad = (f[:, :4] - f[:, 4:]) / (2.0 * h)
-    keep = np.linalg.norm(grad, axis=1) < grad_tol
+    keep = np.linalg.norm(grad, axis=1) < STATIONARY_GRAD_TOL
     return np.sort(zero_field_fidelity_batch(theta, x[keep]))

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .evolution import IsingParams, check_coupling, evolution_closed_form, holds, params_from_bj
+from .evolution import check_coupling, evolution_closed_form, holds, params_from_bj
 from .linalg import dag, hermitian_eigenvalues, projector, trace_norm
 
 SCHMIDT_CLAMP_TOL = 1e-9
@@ -180,13 +180,10 @@ def witness_value(rho: np.ndarray, i: int, j: int) -> float:
     return float(val.real)
 
 
-def evolved_pair(theta: float, p: IsingParams, t: float) -> tuple[np.ndarray, np.ndarray]:
-    """Both preparations after distortion time t (rescaled units)."""
-    u = evolution_closed_form(p, t)
+def evolved_pair_bj(theta: float, b_plus: float, j: float,
+                    t: float) -> tuple[np.ndarray, np.ndarray]:
+    """Both preparations after distortion time t (rescaled units), under the
+    params of :func:`evolution.params_from_bj`."""
+    u = evolution_closed_form(params_from_bj(b_plus, j), t)
     beta1, beta2 = initial_pair(theta)
     return u @ beta1, u @ beta2
-
-
-def evolved_pair_bj(theta: float, b_plus: float, j: float, t: float):
-    """Convenience wrapper building the params from (b+, j) with b- >= 0."""
-    return evolved_pair(theta, params_from_bj(b_plus, j), t)

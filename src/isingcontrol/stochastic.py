@@ -31,11 +31,7 @@ from typing import Callable
 
 import numpy as np
 
-from .control import (
-    local_propagator,
-    plan_situation1,
-    plan_situation2,
-)
+from .control import plan_situation1, plan_situation2
 from .evolution import (
     IsingParams,
     PhysicalFields,
@@ -275,17 +271,9 @@ def f1(theta: float, p: IsingParams, t0: float, s: float, n: int, m: int) -> flo
     The correction field and duration come from the plan at t = t0; the
     mixing itself runs over the uncertain duration.
     """
-    u = f1_correction(p, t0, n, m)
+    u = plan_situation1(t0, p, n, m).correction()
     g = GaussianTime(t0, s)
     return _mixed_fidelity(theta, p, g.t0, g.s, u)
-
-
-def f1_correction(p: IsingParams, t0: float, n: int, m: int) -> np.ndarray:
-    """Propagator of the quasi-loop correction planned at t = t0."""
-    plan = plan_situation1(t0, p, n, m)
-    corrected = IsingParams(b_plus=p.b_plus + plan.delta_b_plus,
-                            b_minus=p.b_minus, j=p.j, scale=p.scale)
-    return evolution_closed_form(corrected, plan.duration)
 
 
 def f2(theta: float, fields: PhysicalFields, t0: float, s: float,
@@ -295,16 +283,9 @@ def f2(theta: float, fields: PhysicalFields, t0: float, s: float,
     Mixing and planning both use physical units here; the plan is solved at
     t = t0 and applied to the Gaussian-mixed states.
     """
-    u = f2_correction(fields, t0, duration, n, m)
+    u = plan_situation2(t0, fields, duration, n, m).correction()
     g = GaussianTime(t0, s)
     return _mixed_fidelity(theta, fields, g.t0, g.s, u)
-
-
-def f2_correction(fields: PhysicalFields, t0: float, duration: float,
-                  n: int, m: int) -> np.ndarray:
-    """Propagator of the local-field correction planned at t = t0."""
-    plan = plan_situation2(t0, fields, duration, n, m)
-    return local_propagator(plan.b_plus_prime, plan.b_minus_prime, plan.duration)
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .control import situation2_phases
+from .control import plan_situation1, plan_situation2, situation2_phases
 from .discrimination import (
     f_ab,
     f_ab_grid,
@@ -39,15 +39,14 @@ from .evolution import (
     params_from_bj,
     spectrum,
 )
-from .optimize import OBJECTIVE_MODES, OptimizerSettings, optimize_fdr2
+from .linalg import STACK_CELLS
+from .optimize import OBJECTIVE_MODES, optimize_fdr2
 from .states import angle_in_range, initial_pair_grid, schmidt_closed_form
 from .stochastic import (
     GaussianTime,
     cross_checked,
     f1,
-    f1_correction,
     f2,
-    f2_correction,
     f_n_mix,
     f_n_mix_closed,
     mean_in_range,
@@ -61,7 +60,6 @@ FIGURE_T = math.pi / 2.0
 FIGURE_B_PLUS = 1.0
 FIGURE5_T0 = {"a": math.pi / 2.0, "b": 3.0 * math.pi / 4.0, "c": 7.0 * math.pi / 4.0}
 MAX_CELLS = 1_000_000
-STACK_CELLS = 256           # cells per stacked block of 4x4 densities (64 KiB each)
 
 
 @dataclass(frozen=True)
@@ -165,9 +163,8 @@ def _eval_so(params, mode):
 
 
 def _eval_dr2(params, mode):
-    settings = OptimizerSettings(objective_mode=mode)
     return optimize_fdr2(params["theta"], params["b_plus"], params["j"], params["t"],
-                         settings).value
+                         mode).value
 
 
 def _eval_n_mix(params, mode):
@@ -291,14 +288,14 @@ def _grid_n_mix(params, mode):
 def _grid_f1(params, mode):
     def setup(group):
         p, n, m = _f1_inputs(group)
-        return p, f1_correction(p, group["t0"], n, m)
+        return p, plan_situation1(group["t0"], p, n, m).correction()
     return _mixed_grid(params, setup)
 
 
 def _grid_f2(params, mode):
     def setup(group):
         fields, duration, n, m = _f2_inputs(group)
-        return fields, f2_correction(fields, group["t0"], duration, n, m)
+        return fields, plan_situation2(group["t0"], fields, duration, n, m).correction()
     return _mixed_grid(params, setup)
 
 
@@ -439,7 +436,6 @@ class Figure4Result:
     coverage_as_printed: float
     dominance_gap: float        # max(F_SO - F_DR2) over the grid, operative mode
     sweep: SweepResult
-    so_values: np.ndarray
 
 
 FIG4_COVERAGE_BAND = (0.70, 0.90)
@@ -474,10 +470,10 @@ def figure4_run(steps: int = 25, overrides: dict | None = None) -> Figure4Result
     if in_band and gap_first <= 1e-6:
         return Figure4Result(mode="as-printed", coverage=coverage_first,
                              coverage_as_printed=coverage_first, dominance_gap=gap_first,
-                             sweep=first, so_values=so.values)
+                             sweep=first)
     second = run_sweep(spec_for("reprepare-originals"))
     coverage_second = float((second.values > FIG4_THRESHOLD).mean())
     gap_second = float((so.values - second.values).max())
     return Figure4Result(mode="reprepare-originals", coverage=coverage_second,
                          coverage_as_printed=coverage_first, dominance_gap=gap_second,
-                         sweep=second, so_values=so.values)
+                         sweep=second)

@@ -30,7 +30,7 @@ from .evolution import (
     evolution_oracle,
     params_from_bj,
 )
-from .linalg import projector
+from .linalg import STACK_CELLS, projector
 from .states import initial_pair, schmidt, schmidt_closed_form
 from .stochastic import (
     GaussianTime,
@@ -39,7 +39,6 @@ from .stochastic import (
     witness_table,
     witness_table_numeric,
 )
-from .sweeps import STACK_CELLS
 
 
 @dataclass(frozen=True)
@@ -89,7 +88,7 @@ _DRAW_LOW = (0.0, -3.0, -3.0, -2.0 * math.pi)    # j, b1, b2, t
 _DRAW_HIGH = (3.0, 3.0, 3.0, 2.0 * math.pi)
 
 
-def _check_propagator(level: str, propagator) -> CheckResult:
+def _check_propagator(level: str, propagator) -> float:
     """Random physical models (j, b1, b2) and times t, drawn and validated a
     block of STACK_CELLS at a time.  A draw takes its four doubles from the
     stream whether it is kept or not; draws with a scale R < 1e-9 are not
@@ -106,7 +105,7 @@ def _check_propagator(level: str, propagator) -> CheckResult:
         columns = (fields.b_plus / r, fields.b_minus / r, fields.j / r, r, r * t)
         closed = [propagator(IsingParams(*p), rt) for *p, rt in zip(*(c.tolist() for c in columns))]
         deviations.append(np.abs(np.array(closed) - evolution_oracle(fields, t)).max())
-    return CheckResult("propagator closed form vs spectral oracle", _worst(deviations), 1e-10)
+    return _worst(deviations)
 
 
 def _schmidt_points(n: int, propagator):
@@ -122,18 +121,17 @@ def _schmidt_points(n: int, propagator):
                 yield propagator(p, t), beta2, (closed.lambda1, closed.lambda2)
 
 
-def _check_schmidt(level: str, propagator) -> CheckResult:
+def _check_schmidt(level: str, propagator) -> float:
     def deviation(block):
         u, beta2, closed = zip(*block)
         states = (np.array(u) @ np.array(beta2)[..., None])[..., 0]
         return np.abs(np.transpose(schmidt(states)) - closed).max()
 
     n = 20 if level == "full" else 8
-    worst = _worst(map(deviation, _blocks(_schmidt_points(n, propagator))))
-    return CheckResult("Schmidt closed form vs reduced-density eigenvalues", worst, 1e-9)
+    return _worst(map(deviation, _blocks(_schmidt_points(n, propagator))))
 
 
-def _check_f_n(level: str, propagator) -> CheckResult:
+def _check_f_n(level: str, propagator) -> float:
     n_th, n_b = (20, 20) if level == "full" else (6, 6)
     n_jt = 5 if level == "full" else 3
     b_plus, j, t = np.meshgrid(np.linspace(0.0, 5.0, n_b), np.linspace(0.0, 0.5, n_jt),
@@ -144,11 +142,10 @@ def _check_f_n(level: str, propagator) -> CheckResult:
         closed = [f_n(theta, *cell) for cell in cells]
         return np.abs(np.reshape(closed, b_plus.shape) - f_n_pipeline(theta, b_plus, j, t)).max()
 
-    worst = _worst(map(deviation, np.linspace(0.0, math.pi / 2.0, n_th).tolist()))
-    return CheckResult("do-nothing closed form vs state pipeline", worst, 1e-9)
+    return _worst(map(deviation, np.linspace(0.0, math.pi / 2.0, n_th).tolist()))
 
 
-def _check_mixed(level: str, propagator) -> CheckResult:
+def _check_mixed(level: str, propagator) -> float:
     n_th = 5 if level == "full" else 3
     deviations = []
     t0_values = (math.pi / 2.0, 3.0 * math.pi / 4.0, 7.0 * math.pi / 4.0)
@@ -162,11 +159,10 @@ def _check_mixed(level: str, propagator) -> CheckResult:
                     g = GaussianTime(t0, s)
                     deviations.append(np.abs(gaussian_mixed_state(rho, p, g)
                                              - quadrature_oracle(rho, p, g, nodes=64)).max())
-    return CheckResult("Gaussian mixing analytic vs quadrature oracle",
-                       _worst(deviations), 1e-8)
+    return _worst(deviations)
 
 
-def _check_witnesses(level: str, propagator) -> CheckResult:
+def _check_witnesses(level: str, propagator) -> float:
     n = 5 if level == "full" else 3
     deviations = []
     for theta in np.linspace(0.0, math.pi / 2.0, n):
@@ -178,7 +174,7 @@ def _check_witnesses(level: str, propagator) -> CheckResult:
                     closed = witness_table(theta, p, g)
                     numeric = witness_table_numeric(theta, p, g)
                     deviations.extend(abs(closed[k] - numeric[k]) for k in closed)
-    return CheckResult("witness closed forms vs mixing pipeline", _worst(deviations), 1e-9)
+    return _worst(deviations)
 
 
 _SUITES = (
@@ -203,7 +199,8 @@ def run_verify(level: str = "fast", propagator=None) -> VerifyReport:
     checks = []
     for name, tolerance, suite in _SUITES:
         try:
-            checks.append(suite(level, propagator))
+            worst = suite(level, propagator)
         except Exception:  # noqa: BLE001 - a broken route must fail, not abort
-            checks.append(CheckResult(name, math.inf, tolerance))
+            worst = math.inf
+        checks.append(CheckResult(name, worst, tolerance))
     return VerifyReport(checks=tuple(checks))

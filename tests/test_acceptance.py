@@ -20,6 +20,7 @@ import pytest
 
 import isingcontrol as ic
 from isingcontrol.discrimination import f_n_pipeline
+from isingcontrol.evolution import b_minus_magnitude
 from isingcontrol.linalg import dag, hermitian_eigenvalues, max_asymmetry, projector
 from isingcontrol.states import diagonal_trace_distance, evolved_pair_bj
 from isingcontrol.stochastic import abd_reconstruct, witness_table_numeric
@@ -53,7 +54,7 @@ def test_criterion_01_propagator_equivalence(propagator_draws):
     start = time.monotonic()
     worst = 0.0
     for b_plus, j, sign, t in propagator_draws:
-        p = ic.params_from_bj(b_plus, j, sign)
+        p = ic.IsingParams(b_plus, sign * float(b_minus_magnitude(j)), j)
         fields = ic.PhysicalFields((b_plus + p.b_minus) / 2.0,
                                    (b_plus - p.b_minus) / 2.0, j)
         dev = np.abs(ic.evolution_closed_form(p, t) - ic.evolution_oracle(fields, t)).max()
@@ -70,7 +71,7 @@ def test_criterion_02_unitarity_and_group_law(propagator_draws):
     worst_u, worst_g = 0.0, 0.0
     eye = np.eye(4)
     for k, (b_plus, j, sign, t) in enumerate(propagator_draws):
-        p = ic.params_from_bj(b_plus, j, sign)
+        p = ic.IsingParams(b_plus, sign * float(b_minus_magnitude(j)), j)
         u = ic.evolution_closed_form(p, t)
         worst_u = max(worst_u, float(np.abs(dag(u) @ u - eye).max()))
         t2 = propagator_draws[(k + 1) % len(propagator_draws)][3]

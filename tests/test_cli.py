@@ -207,6 +207,30 @@ class TestPlanCommand:
         code = main(["plan", "--situation", "1", "--t", "1", "--n", "1", "--m", "0"])
         assert code == 2
 
+    @pytest.mark.parametrize("argv", [
+        # unwrap_arctan rounds an infinite R t / pi
+        ["--situation", "2", "--t", "1e308", "--b1", "1e308", "--b2", "0",
+         "--coupling", "0.5", "--duration", "1", "--n", "1", "--m", "0"],
+        # n pi overflows a float in plan_situation1
+        ["--situation", "1", "--t", "1", "--b-plus", "1", "--j", "0.25",
+         "--n", "1" + "0" * 400, "--m", "0"],
+    ])
+    def test_overflow_exits_2(self, argv, capsys):
+        code = main(["plan", *argv])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+    def test_situation2_non_finite_fields_exit_2(self, capsys):
+        code = main(["plan", "--situation", "2", "--t", "1", "--b1", "1", "--b2", "0",
+                     "--coupling", "0.5", "--duration", "1e-320", "--n", "1", "--m", "0"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: correcting fields are not finite")
+        assert captured.err.count("\n") == 1
+
     def test_situation2_homogeneous(self, capsys):
         code = main(["plan", "--situation", "2", "--t", "1.1", "--b1", "0.8",
                      "--b2", "0.8", "--coupling", "0.37", "--duration", "1",

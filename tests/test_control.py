@@ -199,6 +199,11 @@ class TestSituation2Planning:
         with pytest.raises(ValueError, match="duration"):
             plan_situation2(1.0, PhysicalFields(1.0, 0.0, 0.5), -1.0, 0, 0)
 
+    def test_rejects_non_finite_fields(self):
+        # the products are finite, but dividing them by T overflows
+        with pytest.raises(ValueError, match="correcting fields are not finite"):
+            plan_situation2(1.0, PhysicalFields(1.0, 0.0, 0.5), 1e-320, 1, 0)
+
 
 class TestSituation2Application:
     def test_first_state_recovered_regardless_of_minus_field(self):

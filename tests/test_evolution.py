@@ -7,6 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 from isingcontrol.evolution import (
     IsingParams,
     PhysicalFields,
+    b_minus_magnitude,
     evolution_closed_form,
     evolution_oracle,
     hamiltonian,
@@ -25,6 +26,11 @@ def series_expm(h, t, terms=60):
         term = term @ (-1j * t * h) / k
         acc = acc + term
     return acc
+
+
+def signed_params(b_plus, j, sign):
+    """Normalized parameters with |b-| fixed by the constraint and its sign given."""
+    return IsingParams(b_plus, sign * float(b_minus_magnitude(j)), j)
 
 
 params_strategy = st.tuples(
@@ -171,7 +177,7 @@ class TestSpectrum:
     @settings(max_examples=200, deadline=None)
     def test_ising_params(self, draw):
         b_plus, j, sign, _ = draw
-        self.assert_eigensystem(params_from_bj(b_plus, j, sign))
+        self.assert_eigensystem(signed_params(b_plus, j, sign))
 
     def test_energies_in_closed_form(self):
         f = PhysicalFields(1.3, 0.4, 0.6)
@@ -197,7 +203,7 @@ class TestClosedForm:
         assert u[2, 2] == pytest.approx(1j, abs=1e-12)
 
     def test_entries_against_formula(self):
-        p = params_from_bj(1.9, 0.2, b_minus_sign=-1.0)
+        p = IsingParams(1.9, -b_minus_magnitude(0.2), 0.2)
         t = 0.77
         u = evolution_closed_form(p, t)
         assert u[0, 0] == pytest.approx(np.exp(-1j * t * (p.b_plus - p.j)))
@@ -211,14 +217,14 @@ class TestClosedForm:
     @settings(max_examples=150, deadline=None)
     def test_unitary(self, draw):
         b_plus, j, sign, t = draw
-        u = evolution_closed_form(params_from_bj(b_plus, j, sign), t)
+        u = evolution_closed_form(signed_params(b_plus, j, sign), t)
         assert np.abs(dag(u) @ u - np.eye(4)).max() < 1e-12
 
     @given(params_strategy, st.floats(min_value=-6.0, max_value=6.0))
     @settings(max_examples=150, deadline=None)
     def test_group_property(self, draw, t2):
         b_plus, j, sign, t1 = draw
-        p = params_from_bj(b_plus, j, sign)
+        p = signed_params(b_plus, j, sign)
         lhs = evolution_closed_form(p, t1 + t2)
         rhs = evolution_closed_form(p, t1) @ evolution_closed_form(p, t2)
         assert np.abs(lhs - rhs).max() < 1e-10
@@ -277,7 +283,7 @@ class TestOracle:
     def test_closed_form_equals_oracle_exactly(self, draw):
         """No global-phase slack: the closed form IS the matrix exponential."""
         b_plus, j, sign, t = draw
-        p = params_from_bj(b_plus, j, sign)
+        p = signed_params(b_plus, j, sign)
         b_minus = p.b_minus
         fields = PhysicalFields((b_plus + b_minus) / 2.0, (b_plus - b_minus) / 2.0, j)
         dev = np.abs(evolution_closed_form(p, t) - evolution_oracle(fields, t)).max()

@@ -13,7 +13,6 @@ from isingcontrol.discrimination import (
 )
 from isingcontrol.optimize import (
     Fdr2Result,
-    OptimizerSettings,
     _correlations,
     _svd_optimum,
     coordinate_ascent,
@@ -28,12 +27,13 @@ from isingcontrol.states import evolved_pair_bj, initial_pair
 
 class TestSettings:
     def test_defaults(self):
-        s = OptimizerSettings()
-        assert s.objective_mode == "as-printed"
+        cell = (0.7, 1.9, 0.2, 1.1)
+        assert optimize_fdr2(*cell) == optimize_fdr2(*cell, mode="as-printed")
+        assert optimize_fdr2(*cell) != optimize_fdr2(*cell, mode="reprepare-originals")
 
     def test_validation(self):
-        with pytest.raises(ValueError, match="objective_mode"):
-            OptimizerSettings(objective_mode="other")
+        with pytest.raises(ValueError, match="mode must be one of"):
+            optimize_fdr2(0.7, 1.9, 0.2, 1.1, mode="other")
 
 
 class TestZeroFieldObjective:
@@ -96,7 +96,7 @@ class TestOptimizeFdr2:
     def test_dominates_analytic_seeds(self):
         theta, b_plus, j, t = 0.9, 2.4, 1 / 6, math.pi / 2
         for mode in ("as-printed", "reprepare-originals"):
-            res = optimize_fdr2(theta, b_plus, j, t, OptimizerSettings(objective_mode=mode))
+            res = optimize_fdr2(theta, b_plus, j, t, mode=mode)
             originals = initial_pair(theta)
             distorted = evolved_pair_bj(theta, b_plus, j, t)
             reprepared = distorted if mode == "as-printed" else originals
@@ -105,10 +105,9 @@ class TestOptimizeFdr2:
                 assert res.value >= seed_val - 1e-12
 
     def test_reprepare_originals_dominates_f_so(self):
-        settings = OptimizerSettings(objective_mode="reprepare-originals")
         for theta in (0.1, 0.8):
             for b_plus in (0.5, 1.0, 3.7):
-                res = optimize_fdr2(theta, b_plus, 1 / 6, math.pi / 2, settings)
+                res = optimize_fdr2(theta, b_plus, 1 / 6, math.pi / 2, mode="reprepare-originals")
                 assert res.value >= f_so(theta, b_plus, 1 / 6, math.pi / 2) - 1e-6
 
     def test_deterministic(self):
@@ -122,8 +121,7 @@ class TestOptimizeFdr2:
         # outcome labels inside each group, so re-optimizing from the
         # mirrored optimum must reproduce the same value
         theta, b_plus, j, t = 0.6, 1.4, 0.25, 0.8
-        settings = OptimizerSettings()
-        res = optimize_fdr2(theta, b_plus, j, t, settings)
+        res = optimize_fdr2(theta, b_plus, j, t)
         mirrored = np.array([[
             math.pi - res.povm.theta1,
             math.pi - res.povm.theta2,

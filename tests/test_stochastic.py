@@ -4,9 +4,18 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from isingcontrol.control import (
+    apply_situation1,
+    apply_situation2,
+    fidelity_overlap,
+    plan_situation1,
+    plan_situation2,
+)
 from isingcontrol.discrimination import f_n
 from isingcontrol.evolution import (
+    IsingParams,
     PhysicalFields,
+    b_minus_magnitude,
     evolution_closed_form,
     hamiltonian,
     params_from_bj,
@@ -236,6 +245,39 @@ class TestF2:
             f2(0.5, fields, 1.0, -0.1, 1.0, 1, 0)
 
 
+def pure_plan_fidelity(theta, apply):
+    """Mean over the pair of |<beta|correction U beta>|^2, from a pure-state plan."""
+    return np.mean([fidelity_overlap(beta, apply(beta)) for beta in initial_pair(theta)])
+
+
+class TestPlannerRoundTrip:
+    """At s = 0 the mixed schemes reduce to the pure-state plans: the pair is
+    corrected by the very propagator that apply_situation1/2 use."""
+
+    @given(st.floats(0.0, math.pi / 2), st.floats(-3.0, 3.0), st.floats(0.0, 0.5),
+           st.floats(0.01, 6.0), st.integers(0, 2), st.integers(-3, 3))
+    @settings(max_examples=150, deadline=None)
+    def test_f1_at_zero_spread_is_the_pure_plan(self, theta, b_plus, j, t0, extra, m):
+        p = params_from_bj(b_plus, j)
+        n = math.floor(t0 / math.pi) + 1 + extra      # leaves time for the loop
+        plan = plan_situation1(t0, p, n, m)
+        expected = pure_plan_fidelity(theta, lambda beta: apply_situation1(plan, p, beta))
+        assert f1(theta, p, t0, 0.0, n, m) == pytest.approx(expected, rel=0, abs=1e-12)
+
+    @given(st.floats(0.0, math.pi / 2), st.floats(-2.0, 2.0), st.floats(-2.0, 2.0),
+           st.floats(0.05, 1.0), st.floats(0.01, 6.0), st.floats(0.5, 3.0),
+           st.integers(-3, 3), st.integers(-3, 3))
+    @settings(max_examples=150, deadline=None)
+    def test_f2_at_zero_spread_is_the_pure_plan(self, theta, b1, b2, coupling, t0, duration,
+                                                n, m):
+        fields = PhysicalFields(b1, b2, coupling)
+        plan = plan_situation2(t0, fields, duration, n, m)
+        expected = pure_plan_fidelity(
+            theta, lambda beta: apply_situation2(plan, fields, t0, beta))
+        assert f2(theta, fields, t0, 0.0, duration, n, m) == pytest.approx(
+            expected, rel=0, abs=1e-12)
+
+
 class TestAbdDecomposition:
     def test_perfect_scheme_coefficients(self):
         # s = 0 and a vanishing mean duration: F is identically 1
@@ -317,4 +359,5 @@ class TestDephaseCore:
     @example(1.0, 0.5, 1.0, 4, 1.0, 0.5)    # j = 1/2, b- = 0
     @settings(max_examples=150, deadline=None)
     def test_closed_form_spectrum_matches_eigh_normalized(self, b_plus, j, sign, seed, t0, s):
-        self.assert_kernel_matches_eigh(params_from_bj(b_plus, j, sign), seed, t0, s)
+        p = IsingParams(b_plus, sign * float(b_minus_magnitude(j)), j)
+        self.assert_kernel_matches_eigh(p, seed, t0, s)
