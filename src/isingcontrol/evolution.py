@@ -48,7 +48,7 @@ class PhysicalFields:
 
     def __post_init__(self):
         for name in ("b1", "b2", "j"):
-            if not holds(np.isfinite(getattr(self, name))):
+            if not finite(getattr(self, name)):
                 raise ValueError(f"field {name} must be finite")
         if not holds(self.j >= 0):
             raise ValueError(f"Ising coupling must be >= 0, got {self.j}")
@@ -73,7 +73,10 @@ class PhysicalFields:
 class IsingParams:
     """Dimensionless couple (b+, b-, j) with b-^2 + 4 j^2 = 1, plus the scale R.
 
-    Times fed to :func:`evolution_closed_form` are rescaled, t' = R t.
+    Times fed to :func:`evolution_closed_form` are rescaled, t' = R t.  The
+    entries may also be arrays of one shape, a stack of models for
+    :func:`evolution_closed_form`; a stack with one bad entry raises as
+    that entry would alone.
     """
 
     b_plus: float
@@ -82,22 +85,27 @@ class IsingParams:
     scale: float = 1.0
 
     def __post_init__(self):
-        if not all(map(math.isfinite, (self.b_plus, self.b_minus, self.j, self.scale))):
+        if not all(map(finite, (self.b_plus, self.b_minus, self.j, self.scale))):
             raise ValueError("IsingParams entries must be finite")
         check_coupling(self.j)
-        if abs(self.b_minus) > 1.0 + CONSTRAINT_TOL:
+        if not holds(abs(self.b_minus) <= 1.0 + CONSTRAINT_TOL):
             raise ValueError(f"b_minus must lie in [-1, 1], got {self.b_minus}")
         viol = abs(self.b_minus**2 + 4.0 * self.j**2 - 1.0)
-        if viol > CONSTRAINT_TOL:
+        if not holds(viol <= CONSTRAINT_TOL):
             raise ValueError(
-                f"constraint b_minus^2 + 4 j^2 = 1 violated by {viol:.3e}")
-        if self.scale <= 0:
+                f"constraint b_minus^2 + 4 j^2 = 1 violated by {np.max(viol):.3e}")
+        if not holds(self.scale > 0):
             raise ValueError(f"scale must be positive, got {self.scale}")
 
 
 def holds(flags) -> bool:
     """Whether a predicate holds: a bool, or every entry of a boolean array."""
     return bool(flags.all() if isinstance(flags, np.ndarray) else flags)
+
+
+def finite(x) -> bool:
+    """Whether a number, or every entry of an array, is finite."""
+    return holds(np.isfinite(x)) if isinstance(x, np.ndarray) else math.isfinite(x)
 
 
 def coupling_in_range(j):
@@ -126,13 +134,14 @@ def params_from_bj(b_plus: float, j: float) -> IsingParams:
 
 
 def normalize_fields(fields: PhysicalFields) -> IsingParams:
-    """Rescale physical fields to the dimensionless couple.
+    """Rescale physical fields to the dimensionless couple; stacked fields
+    give stacked params.
 
     Raises for the degenerate case R = 0 (b1 = b2 with j = 0), where the
-    normalization is undefined.
+    normalization is undefined (any entry, for a stack).
     """
     r = fields.scale
-    if r == 0.0:
+    if not holds(r > 0.0):
         raise ValueError(
             "degenerate scale R = 0 (equal fields and zero coupling); "
             "normalization is undefined")
@@ -191,11 +200,14 @@ def evolution_closed_form(p: IsingParams, t: float) -> np.ndarray:
     This equals exp(-i H t) exactly (no global-phase slack): the middle
     block is j*I plus a traceless part M with M^2 = (b-^2 + 4 j^2) I = I,
     so its exponential is e^{-i j t}(cos t * I - i sin t * M).
+
+    Stacked params and an array of times broadcast against each other,
+    giving the stack (..., 4, 4) of their propagators.
     """
-    u = np.zeros((4, 4), dtype=complex)
-    u[0, 0], u[1, 1], u[1, 2], u[2, 2], u[3, 3] = propagator_entries(
-        p.b_plus, p.b_minus, p.j, t)
-    u[2, 1] = u[1, 2]
+    entries = propagator_entries(p.b_plus, p.b_minus, p.j, t)
+    u = np.zeros(np.broadcast(*entries).shape + (4, 4), dtype=complex)
+    u[..., 0, 0], u[..., 1, 1], u[..., 1, 2], u[..., 2, 2], u[..., 3, 3] = entries
+    u[..., 2, 1] = u[..., 1, 2]
     return u
 
 
@@ -205,13 +217,17 @@ def propagator_entries(b_plus, b_minus, j, t) -> tuple:
 
     Takes floats or arrays that broadcast against each other, so a whole
     grid of cells is propagated in a few numpy calls; nothing is validated.
+    Every product has a real factor or the factor 1j, so each entry rounds
+    the same on arrays as on floats (numpy fuses the multiply-adds of a
+    full complex product on arrays, not on scalars).
     """
     ph = np.exp(-1j * t * j)
     ct, st = np.cos(t), np.sin(t)
+    even, odd = ph * ct, 1j * (ph * (b_minus * st))
     return (np.exp(-1j * t * (b_plus - j)),
-            ph * (ct - 1j * b_minus * st),
+            even - odd,
             2j * j * ph * st,
-            ph * (ct + 1j * b_minus * st),
+            even + odd,
             np.exp(1j * t * (b_plus + j)))
 
 

@@ -118,7 +118,8 @@ def schmidt(state: np.ndarray) -> tuple[float, float]:
 
 @dataclass(frozen=True)
 class SchmidtResult:
-    """Closed-form Schmidt coefficients of the evolved second state."""
+    """Closed-form Schmidt coefficients of the evolved second state; arrays
+    of the grid's shape from :func:`schmidt_closed_form_grid`."""
 
     lambda1: float
     lambda2: float
@@ -148,20 +149,34 @@ def schmidt_closed_form(theta: float, j: float, t: float) -> SchmidtResult:
     """
     check_angle(theta)
     check_coupling(j)
-    a0 = 16.0 * j**2 * (1.0 - 4.0 * j**2) * math.sin(t) ** 4   # = 1 - |Z|^2
-    a_term = a0 * math.sin(theta) ** 4
-    z_re = 1.0 - 8.0 * j**2 * math.sin(t) ** 2
-    z_im = 2.0 * j * math.sin(2.0 * t)
-    z_mag = math.sqrt(max(0.0, 1.0 - a0))
-    mismatch = 4.0 * j * t - math.atan2(z_im, z_re)
-    b_term = 0.5 * a0 / (1.0 + z_mag) + z_mag * math.sin(0.5 * mismatch) ** 2
-    arg = a_term + b_term * math.sin(2.0 * theta) ** 2
-    if arg < -SCHMIDT_CLAMP_TOL or arg > 1.0 + SCHMIDT_CLAMP_TOL:
+    return _schmidt(math, theta, j, t)
+
+
+def schmidt_closed_form_grid(theta, j, t) -> SchmidtResult:
+    """:func:`schmidt_closed_form` with numpy, for arrays that broadcast
+    against each other, without the range checks of theta and j: a nan
+    input gives nan fields.  Raises if the sqrt argument of any entry lies
+    beyond SCHMIDT_CLAMP_TOL."""
+    return _schmidt(np, theta, j, t)
+
+
+def _schmidt(xp, theta, j, t) -> SchmidtResult:
+    """The Schmidt formula with the elementary functions of ``xp`` (math or numpy)."""
+    atan2 = math.atan2 if xp is math else np.arctan2
+    a0 = 16.0 * j**2 * (1.0 - 4.0 * j**2) * xp.sin(t) ** 4   # = 1 - |Z|^2
+    a_term = a0 * xp.sin(theta) ** 4
+    z_re = 1.0 - 8.0 * j**2 * xp.sin(t) ** 2
+    z_im = 2.0 * j * xp.sin(2.0 * t)
+    z_mag = xp.sqrt(np.maximum(0.0, 1.0 - a0))
+    mismatch = 4.0 * j * t - atan2(z_im, z_re)
+    b_term = 0.5 * a0 / (1.0 + z_mag) + z_mag * xp.sin(0.5 * mismatch) ** 2
+    arg = a_term + b_term * xp.sin(2.0 * theta) ** 2
+    inside = ((-SCHMIDT_CLAMP_TOL <= arg) & (arg <= 1.0 + SCHMIDT_CLAMP_TOL)) | xp.isnan(arg)
+    if not holds(inside):
         raise ValueError(
-            f"sqrt argument {arg!r} outside [0, 1] beyond tolerance; "
-            "closed form violated")
-    arg = min(max(arg, 0.0), 1.0)
-    root = math.sqrt(arg)
+            f"sqrt argument {float(np.extract(np.logical_not(inside), arg)[0])!r} "
+            "outside [0, 1] beyond tolerance; closed form violated")
+    root = xp.sqrt(np.minimum(np.maximum(arg, 0.0), 1.0))
     return SchmidtResult(
         lambda1=0.5 * (1.0 + root),
         lambda2=0.5 * (1.0 - root),

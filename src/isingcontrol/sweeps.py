@@ -41,7 +41,12 @@ from .evolution import (
 )
 from .linalg import STACK_CELLS
 from .optimize import OBJECTIVE_MODES, optimize_fdr2
-from .states import angle_in_range, initial_pair_grid, schmidt_closed_form
+from .states import (
+    angle_in_range,
+    initial_pair_grid,
+    schmidt_closed_form,
+    schmidt_closed_form_grid,
+)
 from .stochastic import (
     GaussianTime,
     cross_checked,
@@ -231,6 +236,12 @@ def _grid_n(params, mode):
     return f_n_grid(params["theta"], params["b_plus"], params["j"], params["t"])
 
 
+def _grid_schmidt(params, mode):
+    theta, j, t = (params[k] for k in ("theta", "j", "t"))
+    ok = angle_in_range(theta) & coupling_in_range(j)
+    return schmidt_closed_form_grid(np.where(ok, theta, math.nan), j, t).lambda1
+
+
 def _pure_grid(kernel):
     """Array evaluator of a pipeline scheme over (theta, b+, j, t); nan for
     the cells that initial_pair or params_from_bj reject (a non-finite b+
@@ -320,7 +331,7 @@ SCHEMES = {
                     {"T": 1.0, "n": None, "m": None}, _eval_f2, _grid_f2),
     "witness": SchemeDef(("theta", "b_plus", "j", "t0", "s", "state", "wi", "wj"),
                          {"state": 1, "wi": 0, "wj": 0}, _eval_witness),
-    "schmidt": SchemeDef(("theta", "j", "t"), {}, _eval_schmidt),
+    "schmidt": SchemeDef(("theta", "j", "t"), {}, _eval_schmidt, _grid_schmidt),
     "f-curve": SchemeDef(("ratio", "t"), {}, _eval_f_curve),
 }
 

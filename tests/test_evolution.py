@@ -242,6 +242,99 @@ class TestClosedForm:
         np.testing.assert_allclose(u @ evolution_closed_form(p, 1.5), np.eye(4), atol=1e-12)
 
 
+def stack(rows):
+    """Columns of a list of equal-length tuples, as arrays."""
+    return [np.array(column) for column in zip(*rows)]
+
+
+def check_prefix(excinfo):
+    """A check's message without the offending value ("..., got x")."""
+    return str(excinfo.value).split(", got")[0]
+
+
+def normalizes(draw):
+    """Whether the fields of a draw (b1, b2, j, t) have valid params."""
+    try:
+        normalize_fields(PhysicalFields(*draw[:3]))
+    except ValueError:
+        return False
+    return True
+
+
+normalizable_stacks = field_stacks.map(lambda draws: list(filter(normalizes, draws))).filter(bool)
+
+# a valid model (b+, b-, j, R)
+param_row = st.tuples(st.floats(-5.0, 5.0), st.floats(0.0, 0.5), st.sampled_from([1.0, -1.0]),
+                      st.floats(1e-3, 1e3)).map(
+    lambda d: (d[0], d[2] * float(b_minus_magnitude(d[1])), d[1], d[3]))
+param_rows = st.lists(param_row, min_size=1, max_size=8)
+
+non_finite = st.sampled_from([math.nan, math.inf, -math.inf])
+off_range_coupling = st.one_of(st.floats(max_value=-1e-300, allow_infinity=False),
+                               st.floats(min_value=0.5, exclude_min=True, allow_infinity=False))
+
+
+@st.composite
+def bad_param_rows(draw):
+    """One invalid row (b+, b-, j, R): a non-finite entry, j outside
+    [0, 1/2], or a broken constraint b-^2 + 4 j^2 = 1."""
+    row = list(draw(param_row))
+    kind = draw(st.sampled_from(["non-finite", "coupling", "constraint"]))
+    if kind == "non-finite":
+        row[draw(st.integers(0, 3))] = draw(non_finite)
+    elif kind == "coupling":
+        row[2] = draw(off_range_coupling)
+    else:
+        row[1] = draw(st.floats(-2.0, 2.0).filter(
+            lambda b_minus: abs(b_minus**2 + 4.0 * row[2]**2 - 1.0) > 1e-9))
+    return tuple(row)
+
+
+class TestStackedModels:
+    @given(normalizable_stacks, st.floats(1.0, 1e9))
+    @settings(max_examples=150, deadline=None)
+    @example(draws=[(1.0, 1.0, 1.1125369292536007e-308, 1.0)], stretch=2.0)
+    def test_stacked_closed_form_equals_per_point_calls(self, draws, stretch):
+        """Bit for bit, nan included: b+ t overflows when R is tiny."""
+        b1, b2, j, t = stack(draws)
+        fields = PhysicalFields(b1, b2, j)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for times in (fields.scale * t, stretch * t):
+                stacked = evolution_closed_form(normalize_fields(fields), times)
+                singles = [evolution_closed_form(normalize_fields(PhysicalFields(*d[:3])), time)
+                           for d, time in zip(draws, times.tolist())]
+                assert stacked.shape == (len(draws), 4, 4)
+                assert np.array_equal(stacked, singles, equal_nan=True)
+            # one model at stacked times
+            p = normalize_fields(PhysicalFields(*draws[0][:3]))
+            assert np.array_equal(evolution_closed_form(p, t),
+                                  [evolution_closed_form(p, time) for time in t.tolist()],
+                                  equal_nan=True)
+
+    @given(param_rows, bad_param_rows(), st.integers(0, 8))
+    @settings(max_examples=200, deadline=None)
+    def test_params_with_one_bad_entry_raise_as_alone(self, rows, bad, where):
+        rows.insert(where % (len(rows) + 1), bad)
+        with pytest.raises(ValueError) as alone:
+            IsingParams(*bad)
+        with pytest.raises(ValueError) as stacked:
+            IsingParams(*stack(rows))
+        assert check_prefix(stacked) == check_prefix(alone)
+
+    @given(normalizable_stacks, st.sampled_from([(0.7, 0.7, 0.0), (1e308, -1e308, 1.0)]),
+           st.integers(0, 8))
+    @settings(max_examples=100, deadline=None)
+    def test_fields_with_one_bad_entry_normalize_as_alone(self, draws, bad, where):
+        """R = 0, and b- = b1 - b2 overflowing to a non-finite scale."""
+        rows = [d[:3] for d in draws]
+        rows.insert(where % (len(rows) + 1), bad)
+        with pytest.raises(ValueError) as alone:
+            normalize_fields(PhysicalFields(*bad))
+        with pytest.raises(ValueError) as stacked, np.errstate(over="ignore", invalid="ignore"):
+            normalize_fields(PhysicalFields(*stack(rows)))
+        assert check_prefix(stacked) == check_prefix(alone)
+
+
 class TestOracle:
     def test_identity_at_zero(self):
         np.testing.assert_allclose(evolution_oracle(PhysicalFields(1.0, -1.0, 0.3), 0.0),

@@ -14,12 +14,23 @@ SCHMIDT_SUITE = "Schmidt closed form vs reduced-density eigenvalues"
 # closed-form points per level: propagator draws (none is skipped for the
 # seeded stream), Schmidt grid points, do-nothing cells
 POINTS = {"fast": (2_000, 8**3, 6 * 6 * 3 * 3), "full": (10_000, 20**3, 20 * 20 * 5 * 5)}
+SCHMIDT_SIDE = {"fast": 8, "full": 20}
 
 
 def tamper(u):
     u = u.copy()
-    u[1, 1] *= np.exp(0.001j)
+    u[..., 1, 1] *= np.exp(0.001j)
     return u
+
+
+def points(*args):
+    """Number of points in arguments that broadcast against each other."""
+    return np.broadcast(*args).size
+
+
+def blocks(draws):
+    """Calls of the propagator suite: one per block of STACK_CELLS draws."""
+    return -(-draws // verify.STACK_CELLS)
 
 
 def statuses(report):
@@ -58,7 +69,10 @@ class TestRunVerify:
 
         def tampered_last(p, t):
             u = evolution_closed_form(p, t)
-            return tamper(u) if next(calls) == draws else u
+            if next(calls) == blocks(draws):
+                assert len(t) == draws % verify.STACK_CELLS
+                u[-1] = tamper(u[-1])
+            return u
 
         report = run_verify(level=level, propagator=tampered_last)
         assert statuses(report)[PROPAGATOR_SUITE] == "FAIL"
@@ -70,7 +84,9 @@ class TestRunVerify:
 
         def nan_once(p, t):
             u = evolution_closed_form(p, t)
-            return np.full_like(u, np.nan) if next(calls) == 7 else u
+            if next(calls) == 1:
+                u[6] = np.nan
+            return u
 
         report = run_verify(level="fast", propagator=nan_once)
         assert statuses(report)[PROPAGATOR_SUITE] == "FAIL"
@@ -81,17 +97,18 @@ class TestRunVerify:
         calls = []
 
         def counted(p, t):
-            calls.append(t)
+            calls.append(points(p.b_plus, p.b_minus, p.j, p.scale, t))
             return evolution_closed_form(p, t)
 
-        with mock.patch.object(verify, "f_n", wraps=verify.f_n) as f_n, \
-                mock.patch.object(verify, "schmidt_closed_form",
-                                  wraps=verify.schmidt_closed_form) as schmidt_closed_form:
+        with mock.patch.object(verify, "f_n_grid", wraps=verify.f_n_grid) as f_n_grid, \
+                mock.patch.object(verify, "schmidt_closed_form_grid",
+                                  wraps=verify.schmidt_closed_form_grid) as schmidt_grid:
             assert run_verify(level=level, propagator=counted).ok
         draws, schmidt_points, f_n_cells = POINTS[level]
-        assert len(calls) == draws + schmidt_points
-        assert schmidt_closed_form.call_count == schmidt_points
-        assert f_n.call_count == f_n_cells
+        assert len(calls) == blocks(draws) + 1
+        assert sum(calls) == draws + SCHMIDT_SIDE[level] ** 2
+        assert sum(points(*c.args) for c in schmidt_grid.call_args_list) == schmidt_points
+        assert sum(points(*c.args) for c in f_n_grid.call_args_list) == f_n_cells
 
     def test_block_draws_equal_per_draw_stream(self):
         """Drawing a block of models in one call takes the same doubles, in
@@ -114,7 +131,9 @@ class TestRunVerify:
             t = rng.uniform(-2.0 * np.pi, 2.0 * np.pi)
             p = normalize_fields(PhysicalFields(b1, b2, j))
             expected.append((p.b_plus, p.b_minus, p.j, p.scale, p.scale * t))
-        assert received[:draws] == expected
+        suite = received[:blocks(draws)]
+        concatenated = [np.concatenate(column) for column in zip(*suite)]
+        assert np.array_equal(concatenated, np.transpose(expected))
 
     def test_rejects_unknown_level(self):
         with pytest.raises(ValueError, match="level"):
