@@ -50,8 +50,7 @@ class PhysicalFields:
         for name in ("b1", "b2", "j"):
             if not finite(getattr(self, name)):
                 raise ValueError(f"field {name} must be finite")
-        if not holds(self.j >= 0):
-            raise ValueError(f"Ising coupling must be >= 0, got {self.j}")
+        require(self.j >= 0, self.j, "Ising coupling must be >= 0, got {}")
 
     @property
     def b_plus(self) -> float:
@@ -88,19 +87,29 @@ class IsingParams:
         if not all(map(finite, (self.b_plus, self.b_minus, self.j, self.scale))):
             raise ValueError("IsingParams entries must be finite")
         check_coupling(self.j)
-        if not holds(abs(self.b_minus) <= 1.0 + CONSTRAINT_TOL):
-            raise ValueError(f"b_minus must lie in [-1, 1], got {self.b_minus}")
+        require(abs(self.b_minus) <= 1.0 + CONSTRAINT_TOL, self.b_minus,
+                "b_minus must lie in [-1, 1], got {}")
         viol = abs(self.b_minus**2 + 4.0 * self.j**2 - 1.0)
         if not holds(viol <= CONSTRAINT_TOL):
             raise ValueError(
                 f"constraint b_minus^2 + 4 j^2 = 1 violated by {np.max(viol):.3e}")
-        if not holds(self.scale > 0):
-            raise ValueError(f"scale must be positive, got {self.scale}")
+        require(self.scale > 0, self.scale, "scale must be positive, got {}")
 
 
 def holds(flags) -> bool:
     """Whether a predicate holds: a bool, or every entry of a boolean array."""
     return bool(flags.all() if isinstance(flags, np.ndarray) else flags)
+
+
+def require(flags, value, message: str) -> None:
+    """Raise ValueError(message.format(v)) unless the predicate ``flags``
+    holds, v being ``value`` or, for an array, its first entry where the
+    predicate fails: a stack with one bad entry raises as that entry alone."""
+    if holds(flags):
+        return
+    if isinstance(flags, np.ndarray):
+        value = np.extract(np.logical_not(flags), np.broadcast_to(value, flags.shape))[0]
+    raise ValueError(message.format(value))
 
 
 def finite(x) -> bool:
@@ -116,8 +125,7 @@ def coupling_in_range(j):
 
 def check_coupling(j) -> None:
     """Raise unless j lies in [0, 1/2] (every entry, for an array)."""
-    if not holds(coupling_in_range(j)):
-        raise ValueError(f"j must lie in [0, 1/2], got {j}")
+    require(coupling_in_range(j), j, "j must lie in [0, 1/2], got {}")
 
 
 def b_minus_magnitude(j):

@@ -31,7 +31,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .discrimination import LocalPovm, fold_angles, state_fidelity
+from .discrimination import (
+    LocalPovm,
+    _overlaps,
+    _product_outcomes,
+    _votes,
+    fold_angles,
+    state_fidelity,
+)
 from .states import evolved_pair_bj, initial_pair
 
 OBJECTIVE_MODES = ("as-printed", "reprepare-originals")
@@ -57,25 +64,7 @@ def group_probs_batch(x: np.ndarray, state1, state2) -> tuple[np.ndarray, np.nda
     ``state1``/``state2`` are the 4-vectors the two outcome groups are
     scored against (normally the distorted pair).
     """
-    t1, t2, a1, a2 = x[:, 0], x[:, 1], x[:, 2], x[:, 3]
-    c1, s1 = np.cos(t1 / 2.0), np.sin(t1 / 2.0)
-    c2, s2 = np.cos(t2 / 2.0), np.sin(t2 / 2.0)
-    e1, e2 = np.exp(-1j * a1), np.exp(-1j * a2)
-    # conjugated amplitudes of d = (c, e^{ia} s) and f = (s, -e^{ia} c)
-    d1, f1 = (c1, e1 * s1), (s1, -e1 * c1)
-    d2, f2 = (c2, e2 * s2), (s2, -e2 * c2)
-
-    def prob(u, v, state):
-        # |<u x v|state>|^2 written out elementwise: faster than the
-        # (N x 4)(4) BLAS product, which OpenBLAS splits over worker
-        # threads for large N, so its cost varied with the machine's load
-        s = np.asarray(state)
-        a = u[0] * (s[0] * v[0] + s[1] * v[1]) + u[1] * (s[2] * v[0] + s[3] * v[1])
-        return a.real ** 2 + a.imag ** 2
-
-    p1 = prob(d1, d2, state1) + prob(f1, f2, state1)
-    p2 = prob(d1, f2, state2) + prob(f1, d2, state2)
-    return p1, p2
+    return _votes(_product_outcomes(*x.T), state1, state2, _overlaps)
 
 
 def _objective_coefficients(theta, b_plus, j, t, mode):

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .evolution import check_coupling, evolution_closed_form, holds, params_from_bj
+from .evolution import check_coupling, evolution_closed_form, params_from_bj, require
 from .linalg import dag, hermitian_eigenvalues, projector, trace_norm
 
 SCHMIDT_CLAMP_TOL = 1e-9
@@ -43,26 +43,18 @@ def angle_in_range(theta):
     return (0.0 <= theta) & (theta <= math.pi / 2)
 
 
-def check_angle(theta: float) -> None:
+def check_angle(theta) -> None:
     """Raise unless theta lies in [0, pi/2] (every entry, for an array)."""
-    if not holds(angle_in_range(theta)):
-        raise ValueError(f"theta must lie in [0, pi/2], got {theta}")
+    require(angle_in_range(theta), theta, "theta must lie in [0, pi/2], got {}")
 
 
-def initial_pair(theta: float) -> tuple[np.ndarray, np.ndarray]:
-    """The two candidate preparations (beta1, beta2) at mixing angle theta."""
+def initial_pair(theta) -> tuple[np.ndarray, np.ndarray]:
+    """The two candidate preparations (beta1, beta2) at mixing angle theta.
+    For an array of angles beta1 stays one (4,) vector and beta2 is stacked
+    (..., 4)."""
     check_angle(theta)
-    return _pair(math.sin(theta), math.cos(theta))
-
-
-def initial_pair_grid(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`initial_pair` for an array of angles, without the range check:
-    beta1 as one (4,) vector, beta2 stacked (..., 4)."""
-    return _pair(np.sin(theta)[..., None], np.cos(theta)[..., None])
-
-
-def _pair(sin_theta, cos_theta):
-    return bell(0, 0), sin_theta * bell(0, 1) - cos_theta * bell(1, 0)
+    beta2 = np.sin(theta)[..., None] * bell(0, 1) - np.cos(theta)[..., None] * bell(1, 0)
+    return bell(0, 0), beta2
 
 
 def pair_from_local_bases(theta: float) -> tuple[np.ndarray, np.ndarray]:
@@ -119,7 +111,7 @@ def schmidt(state: np.ndarray) -> tuple[float, float]:
 @dataclass(frozen=True)
 class SchmidtResult:
     """Closed-form Schmidt coefficients of the evolved second state; arrays
-    of the grid's shape from :func:`schmidt_closed_form_grid`."""
+    of the broadcast shape when :func:`schmidt_closed_form` gets arrays."""
 
     lambda1: float
     lambda2: float
@@ -127,7 +119,7 @@ class SchmidtResult:
     b_term: float
 
 
-def schmidt_closed_form(theta: float, j: float, t: float) -> SchmidtResult:
+def schmidt_closed_form(theta, j, t) -> SchmidtResult:
     """Schmidt coefficients of U(t) beta2 without building the state:
 
         lambda_{1,2} = (1 +- sqrt(A + B sin^2 2 theta)) / 2
@@ -146,37 +138,30 @@ def schmidt_closed_form(theta: float, j: float, t: float) -> SchmidtResult:
     so the sqrt does not amplify cancellation noise there.  The sqrt
     argument is clamped to [0, 1]; excursions beyond SCHMIDT_CLAMP_TOL
     raise, since they signal a transcription bug rather than float noise.
+    The arguments may be arrays that broadcast against each other.
     """
     check_angle(theta)
     check_coupling(j)
-    return _schmidt(math, theta, j, t)
+    return _schmidt(theta, j, t)
 
 
-def schmidt_closed_form_grid(theta, j, t) -> SchmidtResult:
-    """:func:`schmidt_closed_form` with numpy, for arrays that broadcast
-    against each other, without the range checks of theta and j: a nan
-    input gives nan fields.  Raises if the sqrt argument of any entry lies
-    beyond SCHMIDT_CLAMP_TOL."""
-    return _schmidt(np, theta, j, t)
-
-
-def _schmidt(xp, theta, j, t) -> SchmidtResult:
-    """The Schmidt formula with the elementary functions of ``xp`` (math or numpy)."""
-    atan2 = math.atan2 if xp is math else np.arctan2
-    a0 = 16.0 * j**2 * (1.0 - 4.0 * j**2) * xp.sin(t) ** 4   # = 1 - |Z|^2
-    a_term = a0 * xp.sin(theta) ** 4
-    z_re = 1.0 - 8.0 * j**2 * xp.sin(t) ** 2
-    z_im = 2.0 * j * xp.sin(2.0 * t)
-    z_mag = xp.sqrt(np.maximum(0.0, 1.0 - a0))
-    mismatch = 4.0 * j * t - atan2(z_im, z_re)
-    b_term = 0.5 * a0 / (1.0 + z_mag) + z_mag * xp.sin(0.5 * mismatch) ** 2
-    arg = a_term + b_term * xp.sin(2.0 * theta) ** 2
-    inside = ((-SCHMIDT_CLAMP_TOL <= arg) & (arg <= 1.0 + SCHMIDT_CLAMP_TOL)) | xp.isnan(arg)
-    if not holds(inside):
-        raise ValueError(
-            f"sqrt argument {float(np.extract(np.logical_not(inside), arg)[0])!r} "
-            "outside [0, 1] beyond tolerance; closed form violated")
-    root = xp.sqrt(np.minimum(np.maximum(arg, 0.0), 1.0))
+def _schmidt(theta, j, t) -> SchmidtResult:
+    """The formula of :func:`schmidt_closed_form` without the range checks
+    of theta and j (a nan input gives nan fields); the clamp check stays.
+    Powers are ufunc calls, so floats and arrays round alike (see
+    :mod:`discrimination`)."""
+    jj, sin_t = j * j, np.sin(t)
+    a0 = 16.0 * jj * (1.0 - 4.0 * jj) * np.power(sin_t, 4)   # = 1 - |Z|^2
+    a_term = a0 * np.power(np.sin(theta), 4)
+    z_re = 1.0 - 8.0 * jj * np.square(sin_t)
+    z_im = 2.0 * j * np.sin(2.0 * t)
+    z_mag = np.sqrt(np.maximum(0.0, 1.0 - a0))
+    mismatch = 4.0 * j * t - np.arctan2(z_im, z_re)
+    b_term = 0.5 * a0 / (1.0 + z_mag) + z_mag * np.square(np.sin(0.5 * mismatch))
+    arg = a_term + b_term * np.square(np.sin(2.0 * theta))
+    inside = ((-SCHMIDT_CLAMP_TOL <= arg) & (arg <= 1.0 + SCHMIDT_CLAMP_TOL)) | np.isnan(arg)
+    require(inside, arg, "sqrt argument {} outside [0, 1] beyond tolerance; closed form violated")
+    root = np.sqrt(np.minimum(np.maximum(arg, 0.0), 1.0))
     return SchmidtResult(
         lambda1=0.5 * (1.0 + root),
         lambda2=0.5 * (1.0 - root),

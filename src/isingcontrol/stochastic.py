@@ -39,9 +39,10 @@ from .evolution import (
     params_from_bj,
     propagate,
     propagator_entries,
+    require,
     spectrum,
 )
-from .linalg import dag, projector
+from .linalg import STACK_CELLS, dag, projector
 from .states import initial_pair, witness_value
 
 MODEL_VALIDITY_RATIO = 3.0
@@ -64,16 +65,18 @@ def spread_in_range(s):
 
 @dataclass(frozen=True)
 class GaussianTime:
-    """Normal duration model: mean t0 > 0, spread s >= 0."""
+    """Normal duration model: mean t0 > 0, spread s >= 0.
+
+    The checks also take arrays (a stack of spreads, say), entry by entry;
+    ``ratio`` and ``is_model_valid`` need floats.
+    """
 
     t0: float
     s: float
 
     def __post_init__(self):
-        if not mean_in_range(self.t0):
-            raise ValueError(f"mean duration must be positive, got {self.t0}")
-        if not spread_in_range(self.s):
-            raise ValueError(f"spread must be >= 0, got {self.s}")
+        require(mean_in_range(self.t0), self.t0, "mean duration must be positive, got {}")
+        require(spread_in_range(self.s), self.s, "spread must be >= 0, got {}")
 
     @property
     def ratio(self) -> float:
@@ -200,17 +203,28 @@ def pair_fidelity(pair: tuple, eigensystem: tuple, t0, s,
     return 0.5 * total
 
 
-def _mixed_fidelity(theta: float, model: IsingParams | PhysicalFields, t0: float,
-                    s: float, u: np.ndarray | None = None) -> float:
-    return float(pair_fidelity(initial_pair(theta), spectrum(model), t0, s, u))
+def _mixed_fidelity(theta, model: IsingParams | PhysicalFields, t0: float, s,
+                    u: np.ndarray | None = None):
+    """:func:`pair_fidelity` of the pair at theta, for floats or arrays of
+    theta and s that broadcast against each other, STACK_CELLS cells at a
+    time so that a large stack needs no more memory than one block."""
+    eigensystem = spectrum(model)
+    theta, s = np.broadcast_arrays(theta, s)
+    out = np.empty(theta.shape)
+    flat_theta, flat_s, flat_out = theta.ravel(), s.ravel(), out.reshape(-1)
+    for start in range(0, out.size, STACK_CELLS):
+        block = slice(start, start + STACK_CELLS)
+        flat_out[block] = pair_fidelity(initial_pair(flat_theta[block]), eigensystem, t0,
+                                        flat_s[block, None, None], u)
+    return out[()]
 
 
-def f_n_mix_pipeline(theta: float, b_plus: float, j: float, t0: float, s: float) -> float:
+def f_n_mix_pipeline(theta, b_plus: float, j: float, t0: float, s):
     g = GaussianTime(t0, s)
     return _mixed_fidelity(theta, params_from_bj(b_plus, j), g.t0, g.s)
 
 
-def f_n_mix(theta: float, b_plus: float, j: float, t0: float, s: float) -> float:
+def f_n_mix(theta, b_plus: float, j: float, t0: float, s):
     """Do-nothing fidelity for the Gaussian-mixed pair, closed form:
 
         F = 1/4 [ (1 + e^{-2 b+^2 s^2} cos 2 b+ t0)(1 + cos^4 th)
@@ -220,68 +234,65 @@ def f_n_mix(theta: float, b_plus: float, j: float, t0: float, s: float) -> float
     with G_N summing (1 -+ 2j) e^{-(1 +- b+ +- 2j)^2 s^2 / 2}
     cos((1 +- b+ +- 2j) t0) over the four sign choices (upper sign of the
     prefactor pairing with +2j in the frequency).  Cross-checked against
-    the mixing pipeline on every call; on disagreement beyond 1e-9 the
-    pipeline value is returned with a FormulaDeviationWarning.
+    the mixing pipeline on every call; where they disagree by more than
+    FNMIX_CROSSCHECK_TOL the pipeline value is returned, with one
+    FormulaDeviationWarning per such cell.  theta and s may be arrays that
+    broadcast against each other.
     """
-    closed = f_n_mix_closed(math, theta, b_plus, j, t0, s)
+    closed = f_n_mix_closed(theta, b_plus, j, t0, s)
     pipeline = f_n_mix_pipeline(theta, b_plus, j, t0, s)
-    return float(cross_checked(closed, pipeline))
+    deviation = np.abs(closed - pipeline)
+    for dev in np.atleast_1d(deviation)[np.atleast_1d(deviation > FNMIX_CROSSCHECK_TOL)]:
+        warnings.warn(
+            f"do-nothing closed form deviates from pipeline by {dev:.3e}; "
+            "returning the pipeline value", FormulaDeviationWarning, stacklevel=2)
+    return np.where(deviation > FNMIX_CROSSCHECK_TOL, pipeline, closed)[()]
 
 
-def f_n_mix_closed(xp, theta, b_plus, j, t0, s):
-    """The closed form of :func:`f_n_mix`, with the elementary functions of
-    ``xp``: math for one cell, numpy for arrays of cells.  Squares are
-    products, so a huge w s gives exp(-inf) = 0 on both backends where
-    math's ``** 2`` would raise OverflowError."""
-    c2 = xp.cos(theta) ** 2
-    s2t = xp.sin(theta) ** 2
+def f_n_mix_closed(theta, b_plus, j, t0, s):
+    """The closed form of :func:`f_n_mix`, unchecked, for floats or arrays.
+    Squares are products or ``np.square``, never ``**``: a huge w s then
+    gives exp(-inf) = 0 where a Python float's ``** 2`` would raise
+    OverflowError, and floats round as arrays do."""
+    c2 = np.square(np.cos(theta))
+    s2t = np.square(np.sin(theta))
     jj4 = 4.0 * j * j
     bs = b_plus * s
 
     def damped_cos(w):
         ws = w * s
-        return xp.exp(-0.5 * (ws * ws)) * xp.cos(w * t0)
+        return np.exp(-0.5 * (ws * ws)) * np.cos(w * t0)
 
     g_n = ((1.0 - 2.0 * j) * (damped_cos(1.0 + b_plus + 2.0 * j)
                               + damped_cos(1.0 - b_plus + 2.0 * j))
            + (1.0 + 2.0 * j) * (damped_cos(1.0 + b_plus - 2.0 * j)
                                 + damped_cos(1.0 - b_plus - 2.0 * j)))
     return 0.25 * (
-        (1.0 + xp.exp(-2.0 * (bs * bs)) * xp.cos(2.0 * b_plus * t0)) * (1.0 + c2 * c2)
+        (1.0 + np.exp(-2.0 * (bs * bs)) * np.cos(2.0 * b_plus * t0)) * (1.0 + c2 * c2)
         + g_n * c2 * s2t
-        + ((1.0 + jj4) + (1.0 - jj4) * xp.exp(-2.0 * s * s) * xp.cos(2.0 * t0)) * s2t * s2t
+        + ((1.0 + jj4) + (1.0 - jj4) * np.exp(-2.0 * s * s) * np.cos(2.0 * t0)) * s2t * s2t
     )
 
 
-def cross_checked(closed, pipeline):
-    """The closed-form value, or the pipeline value with one
-    FormulaDeviationWarning per cell where the two differ by more than
-    FNMIX_CROSSCHECK_TOL; takes floats or arrays of cells."""
-    deviation = np.abs(closed - pipeline)
-    for dev in np.atleast_1d(deviation)[np.atleast_1d(deviation > FNMIX_CROSSCHECK_TOL)]:
-        warnings.warn(
-            f"do-nothing closed form deviates from pipeline by {dev:.3e}; "
-            "returning the pipeline value", FormulaDeviationWarning, stacklevel=3)
-    return np.where(deviation > FNMIX_CROSSCHECK_TOL, pipeline, closed)
-
-
-def f1(theta: float, p: IsingParams, t0: float, s: float, n: int, m: int) -> float:
+def f1(theta, p: IsingParams, t0: float, s, n: int, m: int):
     """Quasi-loop repreparation fidelity on the mixed pair (pipeline).
 
     The correction field and duration come from the plan at t = t0; the
-    mixing itself runs over the uncertain duration.
+    mixing itself runs over the uncertain duration.  theta and s may be
+    arrays that broadcast against each other; the plan is solved once.
     """
     u = plan_situation1(t0, p, n, m).correction()
     g = GaussianTime(t0, s)
     return _mixed_fidelity(theta, p, g.t0, g.s, u)
 
 
-def f2(theta: float, fields: PhysicalFields, t0: float, s: float,
-       duration: float, n: int, m: int) -> float:
+def f2(theta, fields: PhysicalFields, t0: float, s,
+       duration: float, n: int, m: int):
     """Local-field repreparation fidelity on the mixed pair (pipeline).
 
     Mixing and planning both use physical units here; the plan is solved at
-    t = t0 and applied to the Gaussian-mixed states.
+    t = t0 and applied to the Gaussian-mixed states.  theta and s may be
+    arrays that broadcast against each other; the plan is solved once.
     """
     u = plan_situation2(t0, fields, duration, n, m).correction()
     g = GaussianTime(t0, s)

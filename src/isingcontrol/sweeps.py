@@ -5,12 +5,14 @@ parameters fixed, and serializes ``axis1,axis2,value`` rows in row-major
 order with 12 significant digits.  Cell failures become ``nan`` cells and
 are reported, never raised mid-sweep; a non-finite value is a failure too.
 
-Schemes with an array evaluator (``SchemeDef.grid``) compute the whole grid
-in a few numpy calls.  Those evaluators skip the scalar functions' checks
-and leave ``nan`` wherever a check could fail; every cell whose grid value
-is not finite, or every cell if the evaluator raises, is re-run on its
-own through the scalar ``SchemeDef.fn``, which keeps the per-cell values,
-messages and exit code of the scalar path.
+Schemes whose functions take stacks of cells (``SchemeDef.grid`` names the
+parameters that may be stacked) are first evaluated on stacks: the cells
+outside the range checks of the scheme are left ``nan``, the others are
+grouped by the values of the parameters that are not stacked, and the
+scheme's own ``SchemeDef.fn`` runs once per group.  Then every cell whose
+value is not finite (those of a group whose call raised, say) is re-run on
+its own through the same ``fn``, which gives each failed cell its own
+message.  Both passes run with numpy's floating-point warnings off.
 """
 from __future__ import annotations
 
@@ -19,17 +21,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .control import plan_situation1, plan_situation2, situation2_phases
-from .discrimination import (
-    f_ab,
-    f_ab_grid,
-    f_dr1,
-    f_dr1_grid,
-    f_n,
-    f_n_grid,
-    f_so,
-    f_so_grid,
-)
+from .control import situation2_phases
+from .discrimination import f_ab, f_dr1, f_n, f_so
 from .evolution import (
     IsingParams,
     PhysicalFields,
@@ -37,25 +30,15 @@ from .evolution import (
     check_coupling,
     coupling_in_range,
     params_from_bj,
-    spectrum,
 )
-from .linalg import STACK_CELLS
 from .optimize import OBJECTIVE_MODES, optimize_fdr2
-from .states import (
-    angle_in_range,
-    initial_pair_grid,
-    schmidt_closed_form,
-    schmidt_closed_form_grid,
-)
+from .states import angle_in_range, schmidt_closed_form
 from .stochastic import (
     GaussianTime,
-    cross_checked,
     f1,
     f2,
     f_n_mix,
-    f_n_mix_closed,
     mean_in_range,
-    pair_fidelity,
     spread_in_range,
     witness_table,
 )
@@ -177,32 +160,22 @@ def _eval_n_mix(params, mode):
                    params["t0"], params["s"])
 
 
-def _f1_inputs(params):
+def _eval_f1(params, mode):
     p = params_from_bj(params["b_plus"], params["j"])
     if "n" in params and "m" in params:
         n, m = _as_int(params, "n"), _as_int(params, "m")
     else:
         n, m = default_situation1_indices(params["t0"], p)
-    return p, n, m
-
-
-def _eval_f1(params, mode):
-    p, n, m = _f1_inputs(params)
     return f1(params["theta"], p, params["t0"], params["s"], n, m)
 
 
-def _f2_inputs(params):
+def _eval_f2(params, mode):
     fields = fields_from_bj(params["b_plus"], params["j"])
     duration = params.get("T", 1.0)
     if "n" in params and "m" in params:
         n, m = _as_int(params, "n"), _as_int(params, "m")
     else:
         n, m = default_situation2_indices(params["t0"], fields)
-    return fields, duration, n, m
-
-
-def _eval_f2(params, mode):
-    fields, duration, n, m = _f2_inputs(params)
     return f2(params["theta"], fields, params["t0"], params["s"], duration, n, m)
 
 
@@ -228,110 +201,80 @@ def _eval_f_curve(params, mode):
     return phi - phi_prime - 4.0 * j * t
 
 
-def _grid_dr1(params, mode):
-    return np.where(angle_in_range(params["theta"]), f_dr1_grid(params["theta"]), math.nan)
+# range predicates of the parameters that have one: a stacked call gets
+# only the cells inside the predicates that its scheme checks, so no check
+# raises on its stack
+_IN_RANGE = {"theta": angle_in_range, "j": coupling_in_range,
+             "t0": mean_in_range, "s": spread_in_range}
 
 
-def _grid_n(params, mode):
-    return f_n_grid(params["theta"], params["b_plus"], params["j"], params["t"])
+def _on_stacks(scheme, params, mode) -> np.ndarray:
+    """Values of every cell of ``params`` (floats, or arrays with one entry
+    per cell) from the scheme's own ``fn``, run on stacks of cells.
 
-
-def _grid_schmidt(params, mode):
-    theta, j, t = (params[k] for k in ("theta", "j", "t"))
-    ok = angle_in_range(theta) & coupling_in_range(j)
-    return schmidt_closed_form_grid(np.where(ok, theta, math.nan), j, t).lambda1
-
-
-def _pure_grid(kernel):
-    """Array evaluator of a pipeline scheme over (theta, b+, j, t); nan for
-    the cells that initial_pair or params_from_bj reject (a non-finite b+
-    makes the kernel's value nan by itself)."""
-    def grid(params, mode):
-        theta, b_plus, j, t = (params[k] for k in ("theta", "b_plus", "j", "t"))
-        ok = angle_in_range(theta) & coupling_in_range(j)
-        return np.where(ok, kernel(theta, b_plus, j, t), math.nan)
-    return grid
-
-
-def _mixed_grid(params, setup):
-    """Mixed-pair fidelities of every cell, stacked.
-
-    Cells are grouped by their parameters other than theta and s, and
-    ``setup(group_params) -> (model, correction or None)`` runs once per
-    group; a group whose setup raises, and cells outside the Gaussian
-    model's or the pair's range, are left ``nan``.
+    Cells outside the range predicates of ``scheme.checked`` stay ``nan``.
+    The others are grouped by the values of their parameters outside
+    ``scheme.grid``, and ``fn`` runs once per group with the grid
+    parameters as arrays of the group's cells, so a scheme that stacks
+    every parameter takes one call per grid.  A group whose call raises
+    stays ``nan``: the per-cell path reports it.
     """
     shape = np.broadcast_shapes(*(np.shape(v) for v in params.values()))
-    theta, s = (np.broadcast_to(params[k], shape) for k in ("theta", "s"))
-    keys = sorted(k for k in params if k not in ("theta", "s"))
-    # a group's values have the scalar path's types: numpy scalars from an
+    ok = np.ones(shape, dtype=bool)
+    for name in scheme.checked:
+        ok &= _IN_RANGE[name](params[name])
+    cells = np.flatnonzero(ok)
+    # a group's values have the per-cell path's types: numpy scalars from an
     # axis, fixed values as given (numpy and Python floats overflow and
     # divide by zero differently)
-    columns = [np.broadcast_to(v, shape) if np.ndim(v) else [v] * shape[0]
-               for v in (params[k] for k in keys)]
+    fixed = {k: v for k, v in params.items() if k not in scheme.grid and not np.ndim(v)}
+    axes = [k for k, v in params.items() if k not in scheme.grid and np.ndim(v)]
     groups = {}
-    for cell, row in enumerate(zip(*columns)):
-        groups.setdefault(row, []).append(cell)
-    ok = angle_in_range(theta) & mean_in_range(params["t0"]) & spread_in_range(s)
+    if axes:
+        for cell, row in zip(cells.tolist(), zip(*(params[k][cells] for k in axes))):
+            groups.setdefault(row, []).append(cell)
+    elif cells.size:
+        groups[()] = cells
     out = np.full(shape, math.nan)
-    for row, cells in groups.items():
-        group = dict(zip(keys, row))
+    for row, group in groups.items():
+        stacks = {k: params[k][group] if np.ndim(params[k]) else params[k]
+                  for k in scheme.grid}
         try:
-            model, u = setup(group)
-        except (ValueError, ArithmeticError):  # the scalar path reports these cells
+            out[group] = scheme.fn({**fixed, **dict(zip(axes, row)), **stacks}, mode)
+        except Exception:  # noqa: BLE001 - the per-cell path reports these cells
             continue
-        eigensystem = spectrum(model)
-        cells = np.array(cells)[ok[cells]]
-        for block in np.split(cells, range(STACK_CELLS, len(cells), STACK_CELLS)):
-            out[block] = pair_fidelity(initial_pair_grid(theta[block]), eigensystem,
-                                       group["t0"], s[block, None, None], u)
     return out
-
-
-def _grid_n_mix(params, mode):
-    pipeline = _mixed_grid(
-        params, lambda group: (params_from_bj(group["b_plus"], group["j"]), None))
-    closed = f_n_mix_closed(np, params["theta"], params["b_plus"], params["j"],
-                            params["t0"], params["s"])
-    return np.where(np.isnan(pipeline), math.nan, cross_checked(closed, pipeline))
-
-
-def _grid_f1(params, mode):
-    def setup(group):
-        p, n, m = _f1_inputs(group)
-        return p, plan_situation1(group["t0"], p, n, m).correction()
-    return _mixed_grid(params, setup)
-
-
-def _grid_f2(params, mode):
-    def setup(group):
-        fields, duration, n, m = _f2_inputs(group)
-        return fields, plan_situation2(group["t0"], fields, duration, n, m).correction()
-    return _mixed_grid(params, setup)
 
 
 @dataclass(frozen=True)
 class SchemeDef:
     params: tuple
     defaults: dict
-    fn: object
-    grid: object = None         # optional array evaluator over all cells at once
+    fn: object                  # fn(params, mode) -> value
+    grid: tuple | None = None   # params fn takes as arrays of cells; None: cell by cell
+    checked: tuple = ()         # params whose range fn checks, in _IN_RANGE
 
+
+PURE = ("theta", "b_plus", "j", "t")
+MIXED = ("theta", "b_plus", "j", "t0", "s")
+MIXED_STACKS = ("theta", "s")   # the plan depends on the other parameters
+MIXED_CHECKS = ("theta", "j", "t0", "s")
 
 SCHEMES = {
-    "dr1": SchemeDef(("theta",), {}, _eval_dr1, _grid_dr1),
-    "n": SchemeDef(("theta", "b_plus", "j", "t"), {}, _eval_n, _grid_n),
-    "ab": SchemeDef(("theta", "b_plus", "j", "t"), {}, _eval_ab, _pure_grid(f_ab_grid)),
-    "so": SchemeDef(("theta", "b_plus", "j", "t"), {}, _eval_so, _pure_grid(f_so_grid)),
-    "dr2": SchemeDef(("theta", "b_plus", "j", "t"), {}, _eval_dr2),
-    "n-mix": SchemeDef(("theta", "b_plus", "j", "t0", "s"), {}, _eval_n_mix, _grid_n_mix),
-    "f1": SchemeDef(("theta", "b_plus", "j", "t0", "s", "n", "m"),
-                    {"n": None, "m": None}, _eval_f1, _grid_f1),
-    "f2": SchemeDef(("theta", "b_plus", "j", "t0", "s", "T", "n", "m"),
-                    {"T": 1.0, "n": None, "m": None}, _eval_f2, _grid_f2),
-    "witness": SchemeDef(("theta", "b_plus", "j", "t0", "s", "state", "wi", "wj"),
+    "dr1": SchemeDef(("theta",), {}, _eval_dr1, ("theta",), ("theta",)),
+    "n": SchemeDef(PURE, {}, _eval_n, PURE),
+    "ab": SchemeDef(PURE, {}, _eval_ab, PURE, ("theta", "j")),
+    "so": SchemeDef(PURE, {}, _eval_so, PURE, ("theta", "j")),
+    "dr2": SchemeDef(PURE, {}, _eval_dr2),
+    "n-mix": SchemeDef(MIXED, {}, _eval_n_mix, MIXED_STACKS, MIXED_CHECKS),
+    "f1": SchemeDef(MIXED + ("n", "m"), {"n": None, "m": None},
+                    _eval_f1, MIXED_STACKS, MIXED_CHECKS),
+    "f2": SchemeDef(MIXED + ("T", "n", "m"), {"T": 1.0, "n": None, "m": None},
+                    _eval_f2, MIXED_STACKS, MIXED_CHECKS),
+    "witness": SchemeDef(MIXED + ("state", "wi", "wj"),
                          {"state": 1, "wi": 0, "wj": 0}, _eval_witness),
-    "schmidt": SchemeDef(("theta", "j", "t"), {}, _eval_schmidt, _grid_schmidt),
+    "schmidt": SchemeDef(("theta", "j", "t"), {}, _eval_schmidt, ("theta", "j", "t"),
+                         ("theta", "j")),
     "f-curve": SchemeDef(("ratio", "t"), {}, _eval_f_curve),
 }
 
@@ -369,15 +312,12 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
 
     cells = [(v1, v2) for v1 in a1 for v2 in a2]
     values = np.full(len(cells), math.nan)
-    if scheme.grid is not None:
-        g1, g2 = (g.ravel() for g in np.meshgrid(a1, a2, indexing="ij"))
-        try:
-            with np.errstate(all="ignore"):
-                values[:] = scheme.grid(with_axes(g1, g2), spec.mode)
-        except Exception:  # noqa: BLE001 - the cells stay nan and re-run below
-            pass
-    redo = np.flatnonzero(~np.isfinite(values))
-    outcomes = [evaluate(*cells[k]) for k in redo]
+    with np.errstate(all="ignore"):
+        if scheme.grid is not None:
+            g1, g2 = (g.ravel() for g in np.meshgrid(a1, a2, indexing="ij"))
+            values[:] = _on_stacks(scheme, with_axes(g1, g2), spec.mode)
+        redo = np.flatnonzero(~np.isfinite(values))
+        outcomes = [evaluate(*cells[k]) for k in redo]
     values[redo] = [v for v, _ in outcomes]
 
     failures = tuple(msg for _, msg in outcomes if msg is not None)

@@ -11,10 +11,10 @@ suite draws, validates and normalises its random models a block of
 STACK_CELLS at a time and propagates each block with one call of the
 closed form and one stacked eigh.  The Schmidt suite builds its n^2
 (j, t) propagators in one call and, per theta row, compares
-``schmidt_closed_form_grid`` with one matmul and one stacked eigvalsh;
-the do-nothing suite compares ``f_n_grid`` with the state pipeline one
-theta row at a time.  The blocks and rows keep the memory of a run near
-that of a point-by-point one.  With one BLAS thread on a busy 2-core VM a
+``schmidt_closed_form`` with one matmul and one stacked eigvalsh; the
+do-nothing suite compares ``f_n`` with the state pipeline one theta row at
+a time.  The blocks and rows keep the memory of a run near that of a
+point-by-point one.  With one BLAS thread on a busy 2-core VM a
 ``full`` run takes about 0.16 s in process.
 """
 from __future__ import annotations
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .discrimination import f_n_grid, f_n_pipeline
+from .discrimination import f_n, f_n_pipeline
 from .evolution import (
     IsingParams,
     PhysicalFields,
@@ -35,7 +35,7 @@ from .evolution import (
     params_from_bj,
 )
 from .linalg import STACK_CELLS, projector
-from .states import initial_pair, schmidt, schmidt_closed_form_grid
+from .states import initial_pair, schmidt, schmidt_closed_form
 from .stochastic import (
     GaussianTime,
     gaussian_mixed_state,
@@ -115,7 +115,7 @@ def _check_schmidt(level: str, propagator) -> float:
 
     def deviation(theta):
         _, beta2 = initial_pair(theta)
-        closed = schmidt_closed_form_grid(theta, j, t)
+        closed = schmidt_closed_form(theta, j, t)
         states = (u @ beta2[:, None])[..., 0]
         return np.abs(np.stack(schmidt(states)) - (closed.lambda1, closed.lambda2)).max()
 
@@ -129,7 +129,7 @@ def _check_f_n(level: str, propagator) -> float:
                                np.linspace(0.1, 2.0 * math.pi, n_jt), indexing="ij")
 
     def deviation(theta):
-        closed = f_n_grid(theta, b_plus, j, t)
+        closed = f_n(theta, b_plus, j, t)
         return np.abs(closed - f_n_pipeline(theta, b_plus, j, t)).max()
 
     return _worst(map(deviation, np.linspace(0.0, math.pi / 2.0, n_th).tolist()))

@@ -229,6 +229,17 @@ class TestClosedFormSchemes:
         d2 = abs(f_ab(1e-3, b_plus, j, t) - f_n(1e-3, b_plus, j, t))
         assert d2 < d1 / 50.0
 
+    @given(st.floats(0.0, math.pi / 2), st.floats(-5.0, 5.0),
+           st.one_of(st.sampled_from([0.0, 0.5]), st.floats(0.0, 0.5)),
+           st.floats(-2 * math.pi, 2 * math.pi))
+    @settings(max_examples=200, deadline=None)
+    def test_f_ab_matches_the_matrix_route(self, theta, b_plus, j, t):
+        # reference: the propagator matrix, a LocalPovm and state_fidelity
+        originals = initial_pair(theta)
+        reference = average_fidelity(originals, evolved_pair_bj(theta, b_plus, j, t),
+                                     originals, table1_povm(theta, "A")).avg_fidelity
+        assert abs(f_ab(theta, b_plus, j, t) - reference) <= 1e-13
+
     def test_f_ab_variant_b_equivalent(self):
         theta, b_plus, j, t = 0.7, 1.3, 0.2, 1.1
         originals = initial_pair(theta)

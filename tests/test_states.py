@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from isingcontrol.evolution import evolution_closed_form, params_from_bj
 from isingcontrol.linalg import projector
 from isingcontrol.states import (
+    _schmidt,
     bell,
     diagonal_trace_distance,
     evolved_pair_bj,
@@ -14,7 +15,6 @@ from isingcontrol.states import (
     pair_from_local_bases,
     schmidt,
     schmidt_closed_form,
-    schmidt_closed_form_grid,
     trace_distance,
     witness_value,
 )
@@ -228,15 +228,15 @@ class TestSchmidtClosedForm:
             schmidt_closed_form(0.3, 0.7, 1.0)
 
     def test_grid_raises_when_one_entry_lies_beyond_the_clamp(self):
-        # the grid form does not check j; past j = 1/2 the sqrt argument at
-        # theta = t = pi/2 is about -16 (j - 1/2)
+        # the unchecked formula does not check j; past j = 1/2 the sqrt
+        # argument at theta = t = pi/2 is about -16 (j - 1/2)
         j = np.array([0.1, 0.25, 0.5 + 1e-12, 0.4])
-        res = schmidt_closed_form_grid(math.pi / 2, j, math.pi / 2)
+        res = _schmidt(math.pi / 2, j, math.pi / 2)
         assert res.lambda1[2] == 0.5        # within SCHMIDT_CLAMP_TOL: clamped
         j[1] = 0.5 + 1e-9
         with pytest.raises(ValueError,
                            match=r"sqrt argument -1\.[0-9]+e-08 outside \[0, 1\] beyond tolerance"):
-            schmidt_closed_form_grid(math.pi / 2, j, math.pi / 2)
+            _schmidt(math.pi / 2, j, math.pi / 2)
 
 
 class TestWitness:

@@ -169,10 +169,9 @@ class TestFnMix:
         assert f_n_mix(math.pi / 2, 1.0, 0.5, math.pi / 2, 1e3) == pytest.approx(0.75)
 
     def test_huge_field_damps_instead_of_overflowing(self):
-        # (b+ s)^2 overflows a float: the damped terms vanish on both backends
+        # (b+ s)^2 overflows a float: the damped terms vanish
         args = (0.7, 1e160, J6, 1.0, 0.3)
-        scalar = f_n_mix_closed(math, *args)
-        assert scalar == f_n_mix_closed(np, *args)
+        scalar = f_n_mix_closed(*args)
         assert f_n_mix(*args) == scalar
         c2, s2 = math.cos(0.7) ** 2, math.sin(0.7) ** 2
         jj4 = 4.0 * J6 * J6

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from isingcontrol import sweeps
 from isingcontrol.discrimination import f_dr1
 from isingcontrol.evolution import params_from_bj
 from isingcontrol.sweeps import (
@@ -272,13 +273,17 @@ def grid_specs(draw):
 @given(grid_specs())
 def test_array_path_matches_scalar_path(spec):
     scheme = SCHEMES[spec.scheme]
+    on_stacks = sweeps._on_stacks
     fallback = []
 
     def counted(params, mode):
         fallback.append(params)
         return scheme.fn(params, mode)
 
-    with mock.patch.dict(SCHEMES, {spec.scheme: replace(scheme, fn=counted)}):
+    # the stacked calls get the uncounted fn, so only the per-cell path counts
+    with mock.patch.dict(SCHEMES, {spec.scheme: replace(scheme, fn=counted)}), \
+            mock.patch.object(sweeps, "_on_stacks",
+                              lambda _, params, mode: on_stacks(scheme, params, mode)):
         grid = run_sweep(spec)
     with mock.patch.dict(SCHEMES, {spec.scheme: replace(scheme, grid=None)}):
         scalar = run_sweep(spec)
@@ -290,10 +295,13 @@ def test_array_path_matches_scalar_path(spec):
 
 def test_array_path_isolates_an_evaluator_that_raises():
     spec = figure3_spec(steps=4)
+    so = SCHEMES["so"]
 
-    def broken(params, mode):
-        raise RuntimeError("evaluator bug")
+    def broken_on_stacks(params, mode):
+        if np.ndim(params["theta"]):
+            raise RuntimeError("evaluator bug")
+        return so.fn(params, mode)
 
-    with mock.patch.dict(SCHEMES, {"so": replace(SCHEMES["so"], grid=broken)}):
+    with mock.patch.dict(SCHEMES, {"so": replace(so, fn=broken_on_stacks)}):
         fallback = run_sweep(spec)
     assert fallback.csv_text == run_sweep(spec).csv_text

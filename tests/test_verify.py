@@ -100,15 +100,15 @@ class TestRunVerify:
             calls.append(points(p.b_plus, p.b_minus, p.j, p.scale, t))
             return evolution_closed_form(p, t)
 
-        with mock.patch.object(verify, "f_n_grid", wraps=verify.f_n_grid) as f_n_grid, \
-                mock.patch.object(verify, "schmidt_closed_form_grid",
-                                  wraps=verify.schmidt_closed_form_grid) as schmidt_grid:
+        with mock.patch.object(verify, "f_n", wraps=verify.f_n) as f_n, \
+                mock.patch.object(verify, "schmidt_closed_form",
+                                  wraps=verify.schmidt_closed_form) as schmidt_closed_form:
             assert run_verify(level=level, propagator=counted).ok
         draws, schmidt_points, f_n_cells = POINTS[level]
         assert len(calls) == blocks(draws) + 1
         assert sum(calls) == draws + SCHMIDT_SIDE[level] ** 2
-        assert sum(points(*c.args) for c in schmidt_grid.call_args_list) == schmidt_points
-        assert sum(points(*c.args) for c in f_n_grid.call_args_list) == f_n_cells
+        assert sum(points(*c.args) for c in schmidt_closed_form.call_args_list) == schmidt_points
+        assert sum(points(*c.args) for c in f_n.call_args_list) == f_n_cells
 
     def test_block_draws_equal_per_draw_stream(self):
         """Drawing a block of models in one call takes the same doubles, in
