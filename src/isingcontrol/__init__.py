@@ -28,7 +28,7 @@ _EXPORTS = {
     ),
     "linalg": ("hermitian_eigenvalues", "partial_trace", "trace_norm"),
     "optimize": (
-        "Fdr2Result", "optimize_fdr2", "zero_field_objective",
+        "Fdr2Result", "fdr2_value", "optimize_fdr2", "zero_field_objective",
         "zero_field_stationary_values",
     ),
     "states": (

@@ -144,8 +144,11 @@ def _write_output(text: str, out_path: str | None) -> None:
     if out_path is None or out_path == "-":
         sys.stdout.write(text)
     else:
-        with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        try:
+            with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise SystemExit2(f"cannot write output {out_path!r}: {exc}") from None
 
 
 def _emit_sweep(result: sweeps.SweepResult, out_path: str | None, extra: str = "") -> int:

@@ -47,7 +47,7 @@ def fidelity_overlap(a: np.ndarray, b: np.ndarray) -> float:
     return float(abs(np.vdot(a, b)) ** 2)
 
 
-def unwrap_arctan(k: float, x: float) -> float:
+def unwrap_arctan(k, x):
     """Continuous extension of arctan(k tan x) with value 0 at x = 0.
 
     The principal arctan jumps by -sign(k) pi at every odd multiple of
@@ -55,20 +55,22 @@ def unwrap_arctan(k: float, x: float) -> float:
 
         phi(x) = sign(k) pi round(x/pi) + arctan(k tan(x - pi round(x/pi)))
 
-    For k = 0 the function is identically zero.
+    with halves rounded to even, as Python's ``round`` does.  For k = 0 the
+    function is identically zero.  k and x may be arrays that broadcast
+    against each other; a non-finite x gives nan.
     """
-    if k == 0.0:
-        return 0.0
-    n = round(x / math.pi)
+    n = np.round(x / math.pi)
     rem = x - n * math.pi
-    return math.copysign(math.pi, k) * n + math.atan(k * math.tan(rem))
+    return np.where(k == 0, 0.0, np.copysign(math.pi, k) * n + np.arctan(k * np.tan(rem)))[()]
 
 
-def situation2_phases(b_minus: float, j: float, r: float, t: float) -> tuple[float, float]:
+def situation2_phases(b_minus, j, r, t) -> tuple:
     """The unwrapped situation-2 phases (phi, phi') at scale R and time t:
 
         phi  = unwrapped arctan( (B- - 2J)/R tan R t )
         phi' = unwrapped arctan( (B- + 2J)/R tan R t )
+
+    for floats or arrays that broadcast against each other.
     """
     rt = r * t
     return (unwrap_arctan((b_minus - 2.0 * j) / r, rt),
@@ -121,11 +123,14 @@ def plan_situation1(t: float, p: IsingParams, n: int, m: int) -> Situation1Plan:
         s_num    = round(2 n j)  ->  Q(j) = s_num / (2n), delta = j - Q(j)
 
     Ties in the rounding go half away from zero, keeping |delta| <= 1/(4n).
+    Raises unless T > 0 and n != 0.
     """
     duration = n * math.pi - t
     if duration <= 0.0:
         raise ValueError(
             f"no time left for the loop: n pi = {n * math.pi:.6f} <= t = {t:.6f}")
+    if n == 0:
+        raise ValueError(f"loop index n must be nonzero, got {n}")
     # round half away from zero (Python round is half-to-even)
     x = 2 * n * p.j
     s_num = int(math.floor(x + 0.5)) if x >= 0 else -int(math.floor(-x + 0.5))
@@ -192,8 +197,9 @@ def plan_situation2(t: float, fields: PhysicalFields, duration: float, n: int, m
 
     Only the products B+'T, B-'T are physical; the duration is a free
     choice, so it is taken as input and the fields are derived from it.
-    Raises if a derived field is not finite (a product that overflows, or
-    a duration so short that the quotient does).
+    Raises if the phase R t overflows, or if a derived field is not finite
+    (a product that overflows, or a duration so short that the quotient
+    does).
     """
     if duration <= 0.0:
         raise ValueError(f"correction duration must be positive, got {duration}")
@@ -201,6 +207,8 @@ def plan_situation2(t: float, fields: PhysicalFields, duration: float, n: int, m
         raise ValueError("situation-2 planning needs a nonzero coupling during distortion")
     r_scale = fields.scale
     rt = r_scale * t
+    if not math.isfinite(rt):
+        raise ValueError(f"distortion phase R t = {rt} is not finite")
     phi, phi_prime = situation2_phases(fields.b_minus, fields.j, r_scale, t)
     ratio = 4.0 * fields.j * fields.b_minus / r_scale**2
     r = math.sqrt(max(0.0, 1.0 - ratio * math.sin(rt) ** 2))

@@ -29,8 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .evolution import b_minus_magnitude, check_coupling, propagate, propagator_entries
-from .states import check_angle, initial_pair
+from .states import check_angle, evolved_pair_bj, initial_pair
 
 
 @dataclass(frozen=True)
@@ -200,15 +199,9 @@ def f_n_pipeline(theta, b_plus, j, t):
     non-finite b+ or t gives nan.
     """
     originals = initial_pair(theta)
-    entries = _entries(b_plus, j, t)
-    stay1, stay2 = (_overlaps(beta, propagate(entries, beta)) for beta in originals)
+    distorted = evolved_pair_bj(theta, b_plus, j, t)
+    stay1, stay2 = (_overlaps(beta, d) for beta, d in zip(originals, distorted))
     return 0.5 * (stay1 + stay2)
-
-
-def _entries(b_plus, j, t):
-    """The propagator entries of the cells (b+, j, t), after j's range check."""
-    check_coupling(j)
-    return propagator_entries(b_plus, b_minus_magnitude(j), j, t)
 
 
 def table1_povm(theta: float, variant: str) -> LocalPovm:
@@ -238,15 +231,15 @@ def f_ab(theta, b_plus, j, t):
     """Fidelity of the zero-field-optimal measurement under a live field.
 
     Evaluated through the full pipeline (variant-A measurement, original
-    states as repreparation): the pair is propagated by the five propagator
-    entries and scored with the variant-A outcome states.  The printed
-    closed form for this scheme has garbled theta arguments, so the
-    pipeline is the ground truth and the theta -> 0, pi/2 limits serve as
-    regression anchors.  A non-finite b+ or t gives nan.
+    states as repreparation): the pair distorted by
+    :func:`states.evolved_pair_bj` is scored with the variant-A outcome
+    states.  The printed closed form for this scheme has garbled theta
+    arguments, so the pipeline is the ground truth and the theta -> 0,
+    pi/2 limits serve as regression anchors.  A non-finite b+ or t gives
+    nan.
     """
     originals = initial_pair(theta)
-    entries = _entries(b_plus, j, t)
-    distorted = [propagate(entries, beta) for beta in originals]
+    distorted = evolved_pair_bj(theta, b_plus, j, t)
     outcomes = _product_outcomes(*_table1_angles(theta, "A"))
     p1, p2 = _votes(outcomes, distorted[0], distorted[1], _overlaps)
     return _average(p1, p2, originals, originals, _overlaps)

@@ -17,6 +17,11 @@ with T the real 3x3 correlation matrix of a two-qubit pure state
 (R. & M. Horodecki, PRA 54, 1838, 1996).  Over unit vectors n1, n2 the
 bilinear form peaks at the largest singular value of A, attained by the
 top singular vectors, so one 3x3 SVD gives the optimum and the measurement.
+:func:`fdr2_value` takes floats or arrays of cells and evaluates a whole
+grid with one SVD of the stacked (N, 3, 3) matrices; :func:`optimize_fdr2`
+adds the measurement of one cell, and its value is the same number.  Both
+distort the pair through :func:`states.evolved_pair_bj` and score the
+as-printed overlaps with the stacked overlaps of the pure-state schemes.
 
 Two objective modes exist because the repreparation entering the optimized
 scheme is ambiguous: ``as-printed`` scores overlaps of the originals with
@@ -37,7 +42,6 @@ from .discrimination import (
     _product_outcomes,
     _votes,
     fold_angles,
-    state_fidelity,
 )
 from .states import evolved_pair_bj, initial_pair
 
@@ -68,13 +72,15 @@ def group_probs_batch(x: np.ndarray, state1, state2) -> tuple[np.ndarray, np.nda
 
 
 def _objective_coefficients(theta, b_plus, j, t, mode):
+    """The distorted pair and the coefficients (const, c1, c2) of the
+    objective in ``mode``, for floats or arrays of cells."""
+    if mode not in OBJECTIVE_MODES:
+        raise ValueError(f"mode must be one of {OBJECTIVE_MODES}, got {mode!r}")
     b1, b2 = initial_pair(theta)
     b1p, b2p = evolved_pair_bj(theta, b_plus, j, t)
     if mode == "as-printed":
-        a1 = state_fidelity(b1, b1p)
-        b1x = state_fidelity(b1, b2p)
-        a2 = state_fidelity(b2, b2p)
-        b2x = state_fidelity(b2, b1p)
+        a1, b1x, a2, b2x = (_overlaps(x, y) for x, y in
+                            ((b1, b1p), (b1, b2p), (b2, b2p), (b2, b1p)))
     else:
         a1, b1x, a2, b2x = 1.0, 0.0, 1.0, 0.0
     const = 0.5 * (b1x + b2x)
@@ -122,9 +128,10 @@ _PAULI = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
 
 
 def _correlations(state) -> np.ndarray:
-    """Real 3x3 matrix T_ab = <state| sigma_a x sigma_b |state>."""
-    m = np.asarray(state).reshape(2, 2)
-    return np.einsum("ij,aik,bjl,kl->ab", m.conj(), _PAULI, _PAULI, m).real
+    """Real 3x3 matrix T_ab = <state| sigma_a x sigma_b |state>; a stack of
+    states (..., 4) gives the stack (..., 3, 3)."""
+    m = np.asarray(state).reshape(*np.shape(state)[:-1], 2, 2)
+    return np.einsum("...ij,aik,bjl,...kl->...ab", m.conj(), _PAULI, _PAULI, m).real
 
 
 def _angles(n: np.ndarray) -> tuple[float, float]:
@@ -133,37 +140,65 @@ def _angles(n: np.ndarray) -> tuple[float, float]:
     return math.atan2(math.hypot(x, y), z), math.atan2(y, x)
 
 
-def _svd_optimum(state1, state2, c1: float, c2: float) -> tuple[float, LocalPovm]:
-    """Maximum of c1 P_H1 + c2 P_H2 over product bases, and a basis reaching it.
+def _svd_optimum(state1, state2, c1, c2):
+    """Maximum of c1 P_H1 + c2 P_H2 over product bases, with the SVD (u, vt)
+    of A = c1 T(state1) - c2 T(state2).
 
     The maximum is (c1 + c2)/2 + sigma_1/2 for the largest singular value
-    sigma_1 of A = c1 T(state1) - c2 T(state2), at the Bloch vectors
-    (u_1, v_1) or, equally, (-u_1, -v_1).  Of these two the one with the
-    lexicographically smaller folded angles is returned, which also fixes
-    the choice when sigma_1 = sigma_2 and the SVD's pair is one of many.
+    sigma_1 of A, reached at the Bloch vectors of :func:`_top_basis`.
+    Stacked states and coefficients give stacked results from one SVD of
+    the (..., 3, 3) stack.  sigma_1 is taken from the full SVD, whose
+    rounding differs from that of ``compute_uv=False``.  A cell whose A is
+    not finite gets the value nan: LAPACK would fail the whole stack on it.
     """
-    a = c1 * _correlations(state1) - c2 * _correlations(state2)
-    u, s, vt = np.linalg.svd(a)
+    a = (np.asarray(c1)[..., None, None] * _correlations(state1)
+         - np.asarray(c2)[..., None, None] * _correlations(state2))
+    finite = np.isfinite(a).all(axis=(-2, -1))
+    u, s, vt = np.linalg.svd(np.where(finite[..., None, None], a, 0.0))
+    return np.where(finite, 0.5 * (c1 + c2) + 0.5 * s[..., 0], math.nan)[()], u, vt
+
+
+def _top_basis(u: np.ndarray, vt: np.ndarray) -> LocalPovm:
+    """The product basis of one cell's top singular pair: (u_1, v_1) or,
+    equally, (-u_1, -v_1), whichever has the lexicographically smaller
+    folded angles, which also fixes the choice when sigma_1 = sigma_2 and
+    the SVD's pair is one of many."""
     variants = []
     for n1, n2 in ((u[:, 0], vt[0]), (-u[:, 0], -vt[0])):
         (t1, a1), (t2, a2) = _angles(n1), _angles(n2)
         variants.append(fold_angles(t1, t2, a1, a2))
-    return 0.5 * (c1 + c2) + 0.5 * float(s[0]), min(variants, key=LocalPovm.angles)
+    return min(variants, key=LocalPovm.angles)
+
+
+def _optimum(theta, b_plus, j, t, mode):
+    """F_DR2 of the cells and the SVD that reaches it."""
+    b1p, b2p, const, c1, c2 = _objective_coefficients(theta, b_plus, j, t, mode)
+    value, u, vt = _svd_optimum(b1p, b2p, c1, c2)
+    return const + value, u, vt
+
+
+def fdr2_value(theta, b_plus, j, t, mode: str = "as-printed"):
+    """The optimized average fidelity F_DR2 = const + (c1 + c2)/2 + sigma_1/2.
+
+    ``mode`` is one of OBJECTIVE_MODES (see the module docstring).  Takes
+    floats or arrays of cells that broadcast against each other: a stack
+    equals its point-by-point calls bit for bit, and a stack with one theta
+    or j out of range raises as that entry would alone (theta first).  A
+    non-finite b+ or t gives nan.
+    """
+    return _optimum(theta, b_plus, j, t, mode)[0]
 
 
 def optimize_fdr2(theta: float, b_plus: float, j: float, t: float,
                   mode: str = "as-printed") -> Fdr2Result:
-    """Maximize the average fidelity over the four measurement angles, exactly.
+    """The optimal measurement of one cell, with the value of
+    :func:`fdr2_value`.
 
-    ``mode`` is one of OBJECTIVE_MODES (see the module docstring).
     Deterministic: where several bases reach the optimum, the choice is
-    the fixed rule of :func:`_svd_optimum`.
+    the fixed rule of :func:`_top_basis`.
     """
-    if mode not in OBJECTIVE_MODES:
-        raise ValueError(f"mode must be one of {OBJECTIVE_MODES}, got {mode!r}")
-    b1p, b2p, const, c1, c2 = _objective_coefficients(theta, b_plus, j, t, mode)
-    value, povm = _svd_optimum(b1p, b2p, c1, c2)
-    return Fdr2Result(povm=povm, value=const + value)
+    value, u, vt = _optimum(theta, b_plus, j, t, mode)
+    return Fdr2Result(povm=_top_basis(u, vt), value=float(value))
 
 
 def zero_field_objective(theta: float, povm: LocalPovm) -> float:

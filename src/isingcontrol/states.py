@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .evolution import check_coupling, evolution_closed_form, params_from_bj, require
+from .evolution import b_minus_magnitude, check_coupling, propagate, propagator_entries, require
 from .linalg import dag, hermitian_eigenvalues, projector, trace_norm
 
 SCHMIDT_CLAMP_TOL = 1e-9
@@ -180,10 +180,16 @@ def witness_value(rho: np.ndarray, i: int, j: int) -> float:
     return float(val.real)
 
 
-def evolved_pair_bj(theta: float, b_plus: float, j: float,
-                    t: float) -> tuple[np.ndarray, np.ndarray]:
+def evolved_pair_bj(theta, b_plus, j, t) -> tuple[np.ndarray, np.ndarray]:
     """Both preparations after distortion time t (rescaled units), under the
-    params of :func:`evolution.params_from_bj`."""
-    u = evolution_closed_form(params_from_bj(b_plus, j), t)
+    params of :func:`evolution.params_from_bj`, propagated by the five
+    propagator entries.
+
+    Floats or arrays of cells that broadcast against each other give stacked
+    (..., 4) states.  Raises if any theta or j is out of range (theta is
+    checked first); a non-finite b+ or t gives nan entries.
+    """
     beta1, beta2 = initial_pair(theta)
-    return u @ beta1, u @ beta2
+    check_coupling(j)
+    entries = propagator_entries(b_plus, b_minus_magnitude(j), j, t)
+    return propagate(entries, beta1), propagate(entries, beta2)

@@ -144,7 +144,7 @@ def quadrature_oracle(rho: np.ndarray, p: IsingParams, g: GaussianTime,
     return (w[:, None, None] * (u @ rho @ dag(u))).sum(axis=0) / math.sqrt(math.pi)
 
 
-def witness_table(theta: float, p: IsingParams, g: GaussianTime) -> dict:
+def witness_table(theta, p: IsingParams, g: GaussianTime) -> dict:
     """Closed-form witness expectations for both Gaussian-mixed preparations.
 
     Returns {(state, i, j): value} with state in {1, 2} and (i, j) the Bell
@@ -156,12 +156,17 @@ def witness_table(theta: float, p: IsingParams, g: GaussianTime) -> dict:
                   W10 -> 1 - cos^2(th) (1 + E+)
                   W01 -> 1 - sin^2(th) ((1 + 4j^2) + (1 - 4j^2) E1)
                   W11 -> 1 - (1 - 4j^2) sin^2(th) (1 - E1)
+
+    theta and the spread of ``g`` may be arrays that broadcast against each
+    other; each entry then has the shape of those it depends on.  Squares
+    are ``np.square``, so floats round as arrays do and a huge b+ s damps
+    to 0 instead of overflowing.
     """
-    ep = math.exp(-2.0 * (p.b_plus * g.s) ** 2) * math.cos(2.0 * p.b_plus * g.t0)
-    e1 = math.exp(-2.0 * g.s**2) * math.cos(2.0 * g.t0)
-    c2 = math.cos(theta) ** 2
-    s2 = math.sin(theta) ** 2
-    jj4 = 4.0 * p.j**2
+    ep = np.exp(-2.0 * np.square(p.b_plus * g.s)) * np.cos(2.0 * p.b_plus * g.t0)
+    e1 = np.exp(-2.0 * np.square(g.s)) * np.cos(2.0 * g.t0)
+    c2 = np.square(np.cos(theta))
+    s2 = np.square(np.sin(theta))
+    jj4 = 4.0 * np.square(p.j)
     return {
         (1, 0, 0): -ep,
         (1, 0, 1): 1.0,

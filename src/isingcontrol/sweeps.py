@@ -5,14 +5,14 @@ parameters fixed, and serializes ``axis1,axis2,value`` rows in row-major
 order with 12 significant digits.  Cell failures become ``nan`` cells and
 are reported, never raised mid-sweep; a non-finite value is a failure too.
 
-Schemes whose functions take stacks of cells (``SchemeDef.grid`` names the
-parameters that may be stacked) are first evaluated on stacks: the cells
-outside the range checks of the scheme are left ``nan``, the others are
-grouped by the values of the parameters that are not stacked, and the
-scheme's own ``SchemeDef.fn`` runs once per group.  Then every cell whose
-value is not finite (those of a group whose call raised, say) is re-run on
-its own through the same ``fn``, which gives each failed cell its own
-message.  Both passes run with numpy's floating-point warnings off.
+Every scheme's function takes stacks of cells (``SchemeDef.grid`` names the
+parameters that may be stacked), so a sweep is first evaluated on stacks:
+the cells outside the range checks of the scheme are left ``nan``, the
+others are grouped by the values of the parameters that are not stacked,
+and the scheme's own ``SchemeDef.fn`` runs once per group.  Then every
+cell whose value is not finite (those of a group whose call raised, say)
+is re-run on its own through the same ``fn``, which gives each failed cell
+its own message.  Both passes run with numpy's floating-point warnings off.
 """
 from __future__ import annotations
 
@@ -31,7 +31,7 @@ from .evolution import (
     coupling_in_range,
     params_from_bj,
 )
-from .optimize import OBJECTIVE_MODES, optimize_fdr2
+from .optimize import OBJECTIVE_MODES, fdr2_value
 from .states import angle_in_range, schmidt_closed_form
 from .stochastic import (
     GaussianTime,
@@ -151,8 +151,7 @@ def _eval_so(params, mode):
 
 
 def _eval_dr2(params, mode):
-    return optimize_fdr2(params["theta"], params["b_plus"], params["j"], params["t"],
-                         mode).value
+    return fdr2_value(params["theta"], params["b_plus"], params["j"], params["t"], mode)
 
 
 def _eval_n_mix(params, mode):
@@ -197,7 +196,7 @@ def _eval_f_curve(params, mode):
     # f(B- t, 2J t) with 2J = 1 and B- = ratio, so R = sqrt(ratio^2 + 1)
     ratio, t = params["ratio"], params["t"]
     j = 0.5
-    phi, phi_prime = situation2_phases(ratio, j, math.hypot(ratio, 2.0 * j), t)
+    phi, phi_prime = situation2_phases(ratio, j, np.hypot(ratio, 2.0 * j), t)
     return phi - phi_prime - 4.0 * j * t
 
 
@@ -251,7 +250,7 @@ class SchemeDef:
     params: tuple
     defaults: dict
     fn: object                  # fn(params, mode) -> value
-    grid: tuple | None = None   # params fn takes as arrays of cells; None: cell by cell
+    grid: tuple                 # params fn takes as arrays of cells
     checked: tuple = ()         # params whose range fn checks, in _IN_RANGE
 
 
@@ -265,17 +264,18 @@ SCHEMES = {
     "n": SchemeDef(PURE, {}, _eval_n, PURE),
     "ab": SchemeDef(PURE, {}, _eval_ab, PURE, ("theta", "j")),
     "so": SchemeDef(PURE, {}, _eval_so, PURE, ("theta", "j")),
-    "dr2": SchemeDef(PURE, {}, _eval_dr2),
+    "dr2": SchemeDef(PURE, {}, _eval_dr2, PURE, ("theta", "j")),
     "n-mix": SchemeDef(MIXED, {}, _eval_n_mix, MIXED_STACKS, MIXED_CHECKS),
     "f1": SchemeDef(MIXED + ("n", "m"), {"n": None, "m": None},
                     _eval_f1, MIXED_STACKS, MIXED_CHECKS),
     "f2": SchemeDef(MIXED + ("T", "n", "m"), {"T": 1.0, "n": None, "m": None},
                     _eval_f2, MIXED_STACKS, MIXED_CHECKS),
     "witness": SchemeDef(MIXED + ("state", "wi", "wj"),
-                         {"state": 1, "wi": 0, "wj": 0}, _eval_witness),
+                         {"state": 1, "wi": 0, "wj": 0}, _eval_witness, MIXED_STACKS,
+                         ("j", "t0", "s")),
     "schmidt": SchemeDef(("theta", "j", "t"), {}, _eval_schmidt, ("theta", "j", "t"),
                          ("theta", "j")),
-    "f-curve": SchemeDef(("ratio", "t"), {}, _eval_f_curve),
+    "f-curve": SchemeDef(("ratio", "t"), {}, _eval_f_curve, ("ratio", "t")),
 }
 
 
@@ -311,11 +311,9 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
         return math.nan, f"{names[0]}={v1:.6g}, {names[1]}={v2:.6g}: {error}"
 
     cells = [(v1, v2) for v1 in a1 for v2 in a2]
-    values = np.full(len(cells), math.nan)
     with np.errstate(all="ignore"):
-        if scheme.grid is not None:
-            g1, g2 = (g.ravel() for g in np.meshgrid(a1, a2, indexing="ij"))
-            values[:] = _on_stacks(scheme, with_axes(g1, g2), spec.mode)
+        g1, g2 = (g.ravel() for g in np.meshgrid(a1, a2, indexing="ij"))
+        values = _on_stacks(scheme, with_axes(g1, g2), spec.mode)
         redo = np.flatnonzero(~np.isfinite(values))
         outcomes = [evaluate(*cells[k]) for k in redo]
     values[redo] = [v for v, _ in outcomes]

@@ -222,6 +222,14 @@ class TestPlanCommand:
         assert captured.out == ""
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
+    def test_situation1_zero_loop_index_exits_2(self, capsys):
+        code = main(["plan", "--situation", "1", "--t", "-1", "--b-plus", "1",
+                     "--j", "0.25", "--n", "0", "--m", "0"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: loop index n must be nonzero, got 0\n"
+
     def test_situation2_non_finite_fields_exit_2(self, capsys):
         code = main(["plan", "--situation", "2", "--t", "1", "--b1", "1", "--b2", "0",
                      "--coupling", "0.5", "--duration", "1e-320", "--n", "1", "--m", "0"])
@@ -345,3 +353,18 @@ class TestFigureCommands:
         err = capsys.readouterr().err
         assert "operative mode" in err
         assert "did not converge" not in err
+
+    @pytest.mark.parametrize("argv", [
+        ["surface", "--scheme", "dr1", "--axis1", "theta:0:1:3", "--axis2", "dummy:0:1:2"],
+        ["figure3", "--steps", "3"],
+        ["figure4", "--steps", "3"],
+    ])
+    def test_unwritable_output_exits_2(self, argv, tmp_path, capsys):
+        out = tmp_path / "missing" / "x.csv"
+        assert main([*argv, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        errors = [line for line in captured.err.splitlines() if line.startswith("error:")]
+        assert errors == [f"error: cannot write output {str(out)!r}: "
+                          f"[Errno 2] No such file or directory: {str(out)!r}"]
+        assert "Traceback" not in captured.err

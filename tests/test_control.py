@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from isingcontrol.control import (
     apply_situation1,
@@ -63,6 +64,25 @@ class TestUnwrapArctan:
             vals = np.array([unwrap_arctan(k, x) for x in xs])
             assert np.abs(np.diff(vals)).max() < math.pi / 2
 
+    @given(st.lists(st.tuples(
+        st.one_of(st.just(0.0), st.floats(-3.0, 3.0)),
+        st.one_of(st.floats(-50.0, 50.0),
+                  st.integers(-15, 15).map(lambda m: (m + 0.5) * math.pi))),
+        min_size=1, max_size=16))
+    @settings(max_examples=200, deadline=None)
+    def test_stack_follows_the_half_to_even_formula(self, pairs):
+        # reference: the formula point by point with Python's round, which
+        # takes halves to even as np.round does
+        def reference(k, x):
+            if k == 0.0:
+                return 0.0
+            n = round(x / math.pi)
+            return math.copysign(math.pi, k) * n + math.atan(k * math.tan(x - n * math.pi))
+
+        k, x = (np.array(column) for column in zip(*pairs))
+        np.testing.assert_allclose(unwrap_arctan(k, x), [reference(*p) for p in pairs],
+                                   rtol=1e-14, atol=1e-14)
+
     def test_monotone_for_positive_k(self):
         xs = np.linspace(0.0, 2.5 * math.pi, 500)
         vals = [unwrap_arctan(0.3, x) for x in xs]
@@ -101,6 +121,12 @@ class TestSituation1Planning:
         p = params_from_bj(0.5, 0.25)
         with pytest.raises(ValueError, match="no time"):
             plan_situation1(4.0, p, n=1, m=0)
+
+    def test_zero_loop_index(self):
+        # a negative t leaves time for n = 0, but Q(j) = s/(2n) has no value
+        p = params_from_bj(1.0, 0.25)
+        with pytest.raises(ValueError, match="loop index n must be nonzero, got 0"):
+            plan_situation1(-1.0, p, n=0, m=0)
 
 
 class TestSituation1Application:

@@ -20,6 +20,7 @@ from isingcontrol.discrimination import (
     state_fidelity,
     table1_povm,
 )
+from isingcontrol.evolution import evolution_closed_form, params_from_bj
 from isingcontrol.linalg import projector
 from isingcontrol.states import evolved_pair_bj, initial_pair
 
@@ -236,7 +237,8 @@ class TestClosedFormSchemes:
     def test_f_ab_matches_the_matrix_route(self, theta, b_plus, j, t):
         # reference: the propagator matrix, a LocalPovm and state_fidelity
         originals = initial_pair(theta)
-        reference = average_fidelity(originals, evolved_pair_bj(theta, b_plus, j, t),
+        u = evolution_closed_form(params_from_bj(b_plus, j), t)
+        reference = average_fidelity(originals, [u @ beta for beta in originals],
                                      originals, table1_povm(theta, "A")).avg_fidelity
         assert abs(f_ab(theta, b_plus, j, t) - reference) <= 1e-13
 

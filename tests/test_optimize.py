@@ -12,10 +12,13 @@ from isingcontrol.discrimination import (
     table1_povm,
 )
 from isingcontrol.optimize import (
+    OBJECTIVE_MODES,
     Fdr2Result,
     _correlations,
     _svd_optimum,
+    _top_basis,
     coordinate_ascent,
+    fdr2_value,
     group_probs_batch,
     optimize_fdr2,
     zero_field_fidelity_batch,
@@ -109,6 +112,28 @@ class TestOptimizeFdr2:
             for b_plus in (0.5, 1.0, 3.7):
                 res = optimize_fdr2(theta, b_plus, 1 / 6, math.pi / 2, mode="reprepare-originals")
                 assert res.value >= f_so(theta, b_plus, 1 / 6, math.pi / 2) - 1e-6
+
+    @given(st.floats(0.0, math.pi / 2), st.floats(-5.0, 5.0),
+           st.one_of(st.sampled_from([0.0, 0.5]), st.floats(0.0, 0.5)),
+           st.floats(-2 * math.pi, 2 * math.pi), st.sampled_from(OBJECTIVE_MODES))
+    @settings(max_examples=200, deadline=None)
+    def test_value_is_fdr2_value(self, theta, b_plus, j, t, mode):
+        # the measurement's value is the sweep's number, bit for bit
+        assert optimize_fdr2(theta, b_plus, j, t, mode).value == fdr2_value(
+            theta, b_plus, j, t, mode)
+
+    @given(st.lists(st.tuples(st.floats(0.0, math.pi / 2), st.floats(-5.0, 5.0),
+                              st.one_of(st.sampled_from([0.0, 0.5]), st.floats(0.0, 0.5)),
+                              st.floats(-2 * math.pi, 2 * math.pi)),
+                    min_size=1, max_size=64))
+    @settings(max_examples=200, deadline=None)
+    def test_reprepare_originals_dominates_f_so_everywhere(self, cells):
+        # F_SO's two measurements are product bases, so the optimum over
+        # them all is at least as high; one stacked call of each per example
+        theta, b_plus, j, t = (np.array(column) for column in zip(*cells))
+        gap = f_so(theta, b_plus, j, t) - fdr2_value(theta, b_plus, j, t,
+                                                      "reprepare-originals")
+        assert gap.max() <= 1e-12
 
     def test_deterministic(self):
         a = optimize_fdr2(0.7, 1.9, 0.2, 1.1)
@@ -245,7 +270,8 @@ class TestSvdOptimum:
     def test_value_is_reached_and_never_beaten(self, seed, c1, c2, theta):
         rng = np.random.default_rng(seed)
         s1, s2 = random_state(rng), random_state(rng)
-        value, povm = _svd_optimum(s1, s2, c1, c2)
+        value, u, vt = _svd_optimum(s1, s2, c1, c2)
+        povm = _top_basis(u, vt)
         reached = weighted_objective(np.array([povm.angles()]), s1, s2, c1, c2)[0]
         assert abs(value - reached) <= 1e-14
         t1, t2, a1, a2 = povm.angles()   # the other sign variant must not be smaller

@@ -104,6 +104,25 @@ class TestInitialPair:
             initial_pair(2.0)
 
 
+PURE_CELLS = st.lists(st.tuples(
+    st.floats(0.0, math.pi / 2), st.floats(-5.0, 5.0),
+    st.one_of(st.sampled_from([0.0, 0.5]), st.floats(0.0, 0.5)),
+    st.floats(-2 * math.pi, 2 * math.pi)), min_size=1, max_size=32)
+
+
+class TestEvolvedPair:
+    @given(PURE_CELLS)
+    @settings(max_examples=100, deadline=None)
+    def test_stack_equals_the_matrix_route(self, cells):
+        # reference: the 4x4 closed-form propagator times each state
+        theta, b_plus, j, t = (np.array(column) for column in zip(*cells))
+        stacked = evolved_pair_bj(theta, b_plus, j, t)
+        for k, (theta_k, b_plus_k, j_k, t_k) in enumerate(cells):
+            u = evolution_closed_form(params_from_bj(b_plus_k, j_k), t_k)
+            for beta, distorted in zip(initial_pair(theta_k), stacked):
+                assert np.array_equal(distorted[k], u @ beta)
+
+
 class TestTraceDistance:
     def test_identical_states(self):
         rho = projector(bell(0, 0))

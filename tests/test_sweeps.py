@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from isingcontrol import sweeps
 from isingcontrol.discrimination import f_dr1
 from isingcontrol.evolution import params_from_bj
+from isingcontrol.optimize import OBJECTIVE_MODES
 from isingcontrol.sweeps import (
     MAX_CELLS,
     SCHEMES,
@@ -238,13 +239,14 @@ def test_preset_matches_checked_in_surface(name, spec):
 
 
 # parameter ranges reaching past every scalar range check: theta outside
-# [0, pi/2], j outside [0, 1/2], t0 <= 0, s < 0, T <= 0, n pi <= t0
+# [0, pi/2], j outside [0, 1/2], t0 <= 0, s < 0, T <= 0, n pi <= t0, n = 0,
+# and witness keys that are not in the table
 VALUE_RANGES = {"theta": (-0.3, 1.9), "b_plus": (-3.0, 3.0), "j": (-0.1, 0.6),
                 "t": (-6.0, 6.0), "t0": (-1.0, 6.0), "s": (-0.2, 1.0), "T": (-0.5, 2.0),
-                "n": (-1, 3), "m": (-2, 2), "dummy": (0, 1)}
+                "n": (-1, 3), "m": (-2, 2), "dummy": (0, 1), "ratio": (-3.0, 3.0),
+                "state": (0, 3), "wi": (-1, 2), "wj": (-1, 2)}
 # magnitudes whose squares and products overflow a float
-HUGE_VALUES = {name: (-1e160, 1e160) for name in ("b_plus", "t", "t0", "s")}
-GRID_SCHEMES = sorted(name for name, scheme in SCHEMES.items() if scheme.grid is not None)
+HUGE_VALUES = {name: (-1e160, 1e160) for name in ("b_plus", "t", "t0", "s", "ratio")}
 
 
 def draw_value(draw, name):
@@ -258,7 +260,7 @@ def draw_value(draw, name):
 
 @st.composite
 def grid_specs(draw):
-    scheme = draw(st.sampled_from(GRID_SCHEMES))
+    scheme = draw(st.sampled_from(sorted(SCHEMES)))
     params, defaults = SCHEMES[scheme].params, SCHEMES[scheme].defaults
     names = draw(st.lists(st.sampled_from(params + ("dummy",)), min_size=2, max_size=2,
                           unique=True))
@@ -266,7 +268,12 @@ def grid_specs(draw):
                  draw(st.integers(2, 4))) for name in names]
     fixed = {name: draw_value(draw, name) for name in params
              if name not in names and (name not in defaults or draw(st.booleans()))}
-    return SweepSpec(scheme=scheme, axis1=axes[0], axis2=axes[1], fixed=fixed)
+    return SweepSpec(scheme=scheme, axis1=axes[0], axis2=axes[1], fixed=fixed,
+                     mode=draw(st.sampled_from(OBJECTIVE_MODES)))
+
+
+def all_nan(scheme, params, mode):
+    return np.full(np.broadcast_shapes(*(np.shape(v) for v in params.values())), math.nan)
 
 
 @settings(max_examples=300, deadline=None)
@@ -285,7 +292,8 @@ def test_array_path_matches_scalar_path(spec):
             mock.patch.object(sweeps, "_on_stacks",
                               lambda _, params, mode: on_stacks(scheme, params, mode)):
         grid = run_sweep(spec)
-    with mock.patch.dict(SCHEMES, {spec.scheme: replace(scheme, grid=None)}):
+    # the reference: no stacked pass, so every cell runs on its own
+    with mock.patch.object(sweeps, "_on_stacks", all_nan):
         scalar = run_sweep(spec)
     assert grid.failures == scalar.failures
     np.testing.assert_allclose(grid.values, scalar.values, rtol=0, atol=1e-13)
