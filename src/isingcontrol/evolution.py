@@ -101,15 +101,27 @@ def holds(flags) -> bool:
     return bool(flags.all() if isinstance(flags, np.ndarray) else flags)
 
 
+class OutOfRange(ValueError):
+    """A failed :func:`require`: ``failed`` marks the entries that failed,
+    True for a scalar predicate, else a boolean array of its shape."""
+
+    def __init__(self, message: str, failed):
+        super().__init__(message)
+        self.failed = failed
+
+
 def require(flags, value, message: str) -> None:
-    """Raise ValueError(message.format(v)) unless the predicate ``flags``
+    """Raise OutOfRange(message.format(v)) unless the predicate ``flags``
     holds, v being ``value`` or, for an array, its first entry where the
-    predicate fails: a stack with one bad entry raises as that entry alone."""
+    predicate fails: a stack with one bad entry raises as that entry alone,
+    and the exception's ``failed`` marks every entry where it fails."""
     if holds(flags):
         return
+    failed = True
     if isinstance(flags, np.ndarray):
-        value = np.extract(np.logical_not(flags), np.broadcast_to(value, flags.shape))[0]
-    raise ValueError(message.format(value))
+        failed = np.logical_not(flags)
+        value = np.extract(failed, np.broadcast_to(value, flags.shape))[0]
+    raise OutOfRange(message.format(value), failed)
 
 
 def finite(x) -> bool:
@@ -117,15 +129,9 @@ def finite(x) -> bool:
     return holds(np.isfinite(x)) if isinstance(x, np.ndarray) else math.isfinite(x)
 
 
-def coupling_in_range(j):
-    """Whether the rescaled coupling j lies in [0, 1/2] (False for nan);
-    elementwise for arrays."""
-    return (0.0 <= j) & (j <= 0.5)
-
-
 def check_coupling(j) -> None:
-    """Raise unless j lies in [0, 1/2] (every entry, for an array)."""
-    require(coupling_in_range(j), j, "j must lie in [0, 1/2], got {}")
+    """Raise unless j lies in [0, 1/2] (every entry, for an array; nan fails)."""
+    require((0.0 <= j) & (j <= 0.5), j, "j must lie in [0, 1/2], got {}")
 
 
 def b_minus_magnitude(j):

@@ -38,14 +38,11 @@ def bell(i: int, j: int) -> np.ndarray:
     return v / math.sqrt(2.0)
 
 
-def angle_in_range(theta):
-    """Whether theta lies in [0, pi/2] (False for nan); elementwise for arrays."""
-    return (0.0 <= theta) & (theta <= math.pi / 2)
-
-
 def check_angle(theta) -> None:
-    """Raise unless theta lies in [0, pi/2] (every entry, for an array)."""
-    require(angle_in_range(theta), theta, "theta must lie in [0, pi/2], got {}")
+    """Raise unless theta lies in [0, pi/2] (every entry, for an array; nan
+    fails)."""
+    require((0.0 <= theta) & (theta <= math.pi / 2), theta,
+            "theta must lie in [0, pi/2], got {}")
 
 
 def initial_pair(theta) -> tuple[np.ndarray, np.ndarray]:

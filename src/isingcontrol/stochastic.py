@@ -37,8 +37,6 @@ from .evolution import (
     PhysicalFields,
     evolution_closed_form,
     params_from_bj,
-    propagate,
-    propagator_entries,
     require,
     spectrum,
 )
@@ -53,16 +51,6 @@ class FormulaDeviationWarning(UserWarning):
     """A printed closed form disagreed with the numerical pipeline."""
 
 
-def mean_in_range(t0):
-    """Whether t0 > 0 is a valid mean duration; elementwise for arrays."""
-    return t0 > 0
-
-
-def spread_in_range(s):
-    """Whether s >= 0 is a valid spread (False for nan); elementwise for arrays."""
-    return s >= 0
-
-
 @dataclass(frozen=True)
 class GaussianTime:
     """Normal duration model: mean t0 > 0, spread s >= 0.
@@ -75,8 +63,8 @@ class GaussianTime:
     s: float
 
     def __post_init__(self):
-        require(mean_in_range(self.t0), self.t0, "mean duration must be positive, got {}")
-        require(spread_in_range(self.s), self.s, "spread must be >= 0, got {}")
+        require(self.t0 > 0, self.t0, "mean duration must be positive, got {}")
+        require(self.s >= 0, self.s, "spread must be >= 0, got {}")
 
     @property
     def ratio(self) -> float:
@@ -127,8 +115,8 @@ def quadrature_oracle(rho: np.ndarray, p: IsingParams, g: GaussianTime,
 
     Substituting t = t0 + sqrt(2) s x turns the integral into
     (1/sqrt(pi)) sum_i w_i U(t_i) rho U(t_i)^dag, with the node propagators
-    built as one stack.  The s = 0 model is the delta distribution and is
-    evaluated directly.
+    built as one stack by :func:`evolution_closed_form`.  The s = 0 model
+    is the delta distribution and is evaluated directly.
     """
     if nodes < 16:
         raise ValueError(f"need at least 16 quadrature nodes, got {nodes}")
@@ -137,10 +125,7 @@ def quadrature_oracle(rho: np.ndarray, p: IsingParams, g: GaussianTime,
         u = evolution_closed_form(p, g.t0)
         return u @ rho @ dag(u)
     x, w = _hermite_rule(nodes)
-    t = g.t0 + math.sqrt(2.0) * g.s * x
-    # row k of the propagated identity is U e_k, column k of U
-    u = propagate(propagator_entries(p.b_plus, p.b_minus, p.j, t[:, None]),
-                  np.eye(4)).swapaxes(-1, -2)
+    u = evolution_closed_form(p, g.t0 + math.sqrt(2.0) * g.s * x)
     return (w[:, None, None] * (u @ rho @ dag(u))).sum(axis=0) / math.sqrt(math.pi)
 
 
@@ -190,37 +175,33 @@ def witness_table_numeric(theta: float, p: IsingParams, g: GaussianTime) -> dict
             for state, rho in mixed.items() for i in (0, 1) for j in (0, 1)}
 
 
-def pair_fidelity(pair: tuple, eigensystem: tuple, t0, s,
-                  u: np.ndarray | None = None):
-    """No-measurement average fidelity (Tr rho1 rho1'' + Tr rho2 rho2'')/2 of
-    the pair dephased in ``eigensystem`` and then corrected by u.
-
-    The states may be stacked (..., 4), with s broadcasting as in
-    :func:`dephase`; the result then has the stack's shape.
-    """
-    total = 0.0
-    for beta in pair:
-        rho = projector(beta)
-        mixed = dephase(rho, eigensystem, t0, s)
-        if u is not None:
-            mixed = u @ mixed @ dag(u)
-        total = total + np.trace(rho @ mixed, axis1=-2, axis2=-1).real
-    return 0.5 * total
-
-
 def _mixed_fidelity(theta, model: IsingParams | PhysicalFields, t0: float, s,
                     u: np.ndarray | None = None):
-    """:func:`pair_fidelity` of the pair at theta, for floats or arrays of
-    theta and s that broadcast against each other, STACK_CELLS cells at a
-    time so that a large stack needs no more memory than one block."""
+    """No-measurement average fidelity (Tr rho1 rho1'' + Tr rho2 rho2'')/2 of
+    the pair at theta, dephased in the model's eigenbasis and then corrected
+    by u, for floats or arrays of theta and s that broadcast against each
+    other.
+
+    The pair is built, and theta checked, for the whole stack at once, so a
+    failed check marks its entries in the stack's shape.  The densities are
+    then dephased STACK_CELLS cells at a time, so that a large stack needs
+    no more memory for them than one block.
+    """
     eigensystem = spectrum(model)
     theta, s = np.broadcast_arrays(theta, s)
+    beta1, beta2 = initial_pair(theta)
     out = np.empty(theta.shape)
-    flat_theta, flat_s, flat_out = theta.ravel(), s.ravel(), out.reshape(-1)
+    flat_beta2, flat_s, flat_out = beta2.reshape(-1, 4), s.ravel(), out.reshape(-1)
     for start in range(0, out.size, STACK_CELLS):
         block = slice(start, start + STACK_CELLS)
-        flat_out[block] = pair_fidelity(initial_pair(flat_theta[block]), eigensystem, t0,
-                                        flat_s[block, None, None], u)
+        total = 0.0
+        for beta in (beta1, flat_beta2[block]):
+            rho = projector(beta)
+            mixed = dephase(rho, eigensystem, t0, flat_s[block, None, None])
+            if u is not None:
+                mixed = u @ mixed @ dag(u)
+            total = total + np.trace(rho @ mixed, axis1=-2, axis2=-1).real
+        flat_out[block] = 0.5 * total
     return out[()]
 
 

@@ -7,12 +7,14 @@ are reported, never raised mid-sweep; a non-finite value is a failure too.
 
 Every scheme's function takes stacks of cells (``SchemeDef.grid`` names the
 parameters that may be stacked), so a sweep is first evaluated on stacks:
-the cells outside the range checks of the scheme are left ``nan``, the
-others are grouped by the values of the parameters that are not stacked,
-and the scheme's own ``SchemeDef.fn`` runs once per group.  Then every
-cell whose value is not finite (those of a group whose call raised, say)
-is re-run on its own through the same ``fn``, which gives each failed cell
-its own message.  Both passes run with numpy's floating-point warnings off.
+the cells are grouped by the values of the parameters that are not
+stacked, and the scheme's own ``SchemeDef.fn`` runs once per group.  The
+range rules live only in the scheme functions' own checks: a failed check
+raises :class:`evolution.OutOfRange`, which marks the failing entries, and
+``fn`` runs again on the rest of the group.  Then every cell whose value is
+not finite (those a check marked, say) is re-run on its own through the
+same ``fn``, which gives each failed cell its own message.  Both passes run
+with numpy's floating-point warnings off.
 """
 from __future__ import annotations
 
@@ -25,23 +27,15 @@ from .control import situation2_phases
 from .discrimination import f_ab, f_dr1, f_n, f_so
 from .evolution import (
     IsingParams,
+    OutOfRange,
     PhysicalFields,
     b_minus_magnitude,
     check_coupling,
-    coupling_in_range,
     params_from_bj,
 )
 from .optimize import OBJECTIVE_MODES, fdr2_value
-from .states import angle_in_range, schmidt_closed_form
-from .stochastic import (
-    GaussianTime,
-    f1,
-    f2,
-    f_n_mix,
-    mean_in_range,
-    spread_in_range,
-    witness_table,
-)
+from .states import schmidt_closed_form
+from .stochastic import GaussianTime, f1, f2, f_n_mix, witness_table
 
 FIGURE_J = 1.0 / 6.0
 FIGURE_T = math.pi / 2.0
@@ -102,6 +96,10 @@ class SweepSpec:
         if missing:
             raise ValueError(
                 f"scheme {self.scheme!r} is missing parameters: {', '.join(missing)}")
+        indices = provided & {"n", "m"}
+        if len(indices) == 1:
+            raise ValueError(f"scheme {self.scheme!r} takes the indices n and m together "
+                             f"or neither, got only {indices.pop()}")
 
 
 def fields_from_bj(b_plus: float, j: float) -> PhysicalFields:
@@ -200,48 +198,46 @@ def _eval_f_curve(params, mode):
     return phi - phi_prime - 4.0 * j * t
 
 
-# range predicates of the parameters that have one: a stacked call gets
-# only the cells inside the predicates that its scheme checks, so no check
-# raises on its stack
-_IN_RANGE = {"theta": angle_in_range, "j": coupling_in_range,
-             "t0": mean_in_range, "s": spread_in_range}
-
-
 def _on_stacks(scheme, params, mode) -> np.ndarray:
     """Values of every cell of ``params`` (floats, or arrays with one entry
     per cell) from the scheme's own ``fn``, run on stacks of cells.
 
-    Cells outside the range predicates of ``scheme.checked`` stay ``nan``.
-    The others are grouped by the values of their parameters outside
+    The cells are grouped by the values of their parameters outside
     ``scheme.grid``, and ``fn`` runs once per group with the grid
     parameters as arrays of the group's cells, so a scheme that stacks
-    every parameter takes one call per grid.  A group whose call raises
-    stays ``nan``: the per-cell path reports it.
+    every parameter takes one call per grid.  When a call raises
+    ``OutOfRange`` whose ``failed`` mask has the group's shape and marks
+    some cells, those cells are dropped and ``fn`` runs again on the rest.
+    Any other mask, or any other exception, leaves the rest of the group
+    ``nan``; so do the dropped cells.  The per-cell path reports them all.
     """
     shape = np.broadcast_shapes(*(np.shape(v) for v in params.values()))
-    ok = np.ones(shape, dtype=bool)
-    for name in scheme.checked:
-        ok &= _IN_RANGE[name](params[name])
-    cells = np.flatnonzero(ok)
     # a group's values have the per-cell path's types: numpy scalars from an
     # axis, fixed values as given (numpy and Python floats overflow and
     # divide by zero differently)
     fixed = {k: v for k, v in params.items() if k not in scheme.grid and not np.ndim(v)}
     axes = [k for k, v in params.items() if k not in scheme.grid and np.ndim(v)]
+    out = np.full(shape, math.nan)
     groups = {}
     if axes:
-        for cell, row in zip(cells.tolist(), zip(*(params[k][cells] for k in axes))):
+        for cell, row in enumerate(zip(*(params[k] for k in axes))):
             groups.setdefault(row, []).append(cell)
-    elif cells.size:
-        groups[()] = cells
-    out = np.full(shape, math.nan)
+    else:
+        groups[()] = np.arange(out.size)
     for row, group in groups.items():
-        stacks = {k: params[k][group] if np.ndim(params[k]) else params[k]
-                  for k in scheme.grid}
-        try:
-            out[group] = scheme.fn({**fixed, **dict(zip(axes, row)), **stacks}, mode)
-        except Exception:  # noqa: BLE001 - the per-cell path reports these cells
-            continue
+        group = np.asarray(group)
+        while group.size:
+            stacks = {k: params[k][group] if np.ndim(params[k]) else params[k]
+                      for k in scheme.grid}
+            try:
+                out[group] = scheme.fn({**fixed, **dict(zip(axes, row)), **stacks}, mode)
+                break
+            except OutOfRange as exc:
+                if np.shape(exc.failed) != group.shape or not exc.failed.any():
+                    break
+                group = group[~exc.failed]
+            except Exception:  # noqa: BLE001 - the per-cell path reports these cells
+                break
     return out
 
 
@@ -251,30 +247,25 @@ class SchemeDef:
     defaults: dict
     fn: object                  # fn(params, mode) -> value
     grid: tuple                 # params fn takes as arrays of cells
-    checked: tuple = ()         # params whose range fn checks, in _IN_RANGE
 
 
 PURE = ("theta", "b_plus", "j", "t")
 MIXED = ("theta", "b_plus", "j", "t0", "s")
 MIXED_STACKS = ("theta", "s")   # the plan depends on the other parameters
-MIXED_CHECKS = ("theta", "j", "t0", "s")
 
 SCHEMES = {
-    "dr1": SchemeDef(("theta",), {}, _eval_dr1, ("theta",), ("theta",)),
+    "dr1": SchemeDef(("theta",), {}, _eval_dr1, ("theta",)),
     "n": SchemeDef(PURE, {}, _eval_n, PURE),
-    "ab": SchemeDef(PURE, {}, _eval_ab, PURE, ("theta", "j")),
-    "so": SchemeDef(PURE, {}, _eval_so, PURE, ("theta", "j")),
-    "dr2": SchemeDef(PURE, {}, _eval_dr2, PURE, ("theta", "j")),
-    "n-mix": SchemeDef(MIXED, {}, _eval_n_mix, MIXED_STACKS, MIXED_CHECKS),
-    "f1": SchemeDef(MIXED + ("n", "m"), {"n": None, "m": None},
-                    _eval_f1, MIXED_STACKS, MIXED_CHECKS),
+    "ab": SchemeDef(PURE, {}, _eval_ab, PURE),
+    "so": SchemeDef(PURE, {}, _eval_so, PURE),
+    "dr2": SchemeDef(PURE, {}, _eval_dr2, PURE),
+    "n-mix": SchemeDef(MIXED, {}, _eval_n_mix, MIXED_STACKS),
+    "f1": SchemeDef(MIXED + ("n", "m"), {"n": None, "m": None}, _eval_f1, MIXED_STACKS),
     "f2": SchemeDef(MIXED + ("T", "n", "m"), {"T": 1.0, "n": None, "m": None},
-                    _eval_f2, MIXED_STACKS, MIXED_CHECKS),
+                    _eval_f2, MIXED_STACKS),
     "witness": SchemeDef(MIXED + ("state", "wi", "wj"),
-                         {"state": 1, "wi": 0, "wj": 0}, _eval_witness, MIXED_STACKS,
-                         ("j", "t0", "s")),
-    "schmidt": SchemeDef(("theta", "j", "t"), {}, _eval_schmidt, ("theta", "j", "t"),
-                         ("theta", "j")),
+                         {"state": 1, "wi": 0, "wj": 0}, _eval_witness, MIXED_STACKS),
+    "schmidt": SchemeDef(("theta", "j", "t"), {}, _eval_schmidt, ("theta", "j", "t")),
     "f-curve": SchemeDef(("ratio", "t"), {}, _eval_f_curve, ("ratio", "t")),
 }
 
@@ -283,7 +274,7 @@ SCHEMES = {
 class SweepResult:
     csv_text: str
     values: np.ndarray          # (steps1, steps2) grid, nan for failed cells
-    failures: tuple             # (axis1_value, axis2_value, message) triples
+    failures: tuple             # messages of the failed cells, in row-major order
 
 
 def run_sweep(spec: SweepSpec) -> SweepResult:
@@ -310,23 +301,28 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
             error = f"non-finite value {value}"
         return math.nan, f"{names[0]}={v1:.6g}, {names[1]}={v2:.6g}: {error}"
 
-    cells = [(v1, v2) for v1 in a1 for v2 in a2]
     with np.errstate(all="ignore"):
         g1, g2 = (g.ravel() for g in np.meshgrid(a1, a2, indexing="ij"))
         values = _on_stacks(scheme, with_axes(g1, g2), spec.mode)
         redo = np.flatnonzero(~np.isfinite(values))
-        outcomes = [evaluate(*cells[k]) for k in redo]
+        outcomes = [evaluate(g1[k], g2[k]) for k in redo]
     values[redo] = [v for v, _ in outcomes]
 
     failures = tuple(msg for _, msg in outcomes if msg is not None)
-
-    def fmt(v: float) -> str:
-        return f"{0.0 if v == 0.0 else v:.12g}"   # avoid '-0' rows
-
-    lines = ["axis1,axis2,value"] + [f"{fmt(v1)},{fmt(v2)},{fmt(v)}"
-                                     for (v1, v2), v in zip(cells, values.tolist())]
-    return SweepResult(csv_text="\n".join(lines) + "\n",
+    return SweepResult(csv_text=_csv_text(a1, a2, values),
                        values=values.reshape(len(a1), len(a2)), failures=failures)
+
+
+def _csv_text(a1: np.ndarray, a2: np.ndarray, values: np.ndarray) -> str:
+    """The CSV document of a grid: each axis value and each cell is
+    formatted once, to 12 significant digits, with -0 printed as 0."""
+    def fmt(v: np.ndarray) -> list:
+        return list(map("{:.12g}".format, (v + 0.0).tolist()))   # -0.0 + 0.0 is 0.0
+
+    cells = iter(fmt(values))           # row-major, as the rows below
+    s2 = [f",{y}," for y in fmt(a2)]
+    rows = (x + y + next(cells) for x in fmt(a1) for y in s2)
+    return "\n".join(["axis1,axis2,value", *rows, ""])
 
 
 def figure3_spec(steps: int = 50, overrides: dict | None = None) -> SweepSpec:

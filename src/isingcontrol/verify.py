@@ -14,8 +14,7 @@ closed form and one stacked eigh.  The Schmidt suite builds its n^2
 ``schmidt_closed_form`` with one matmul and one stacked eigvalsh; the
 do-nothing suite compares ``f_n`` with the state pipeline one theta row at
 a time.  The blocks and rows keep the memory of a run near that of a
-point-by-point one.  With one BLAS thread on a busy 2-core VM a
-``full`` run takes about 0.16 s in process.
+point-by-point one.
 """
 from __future__ import annotations
 

@@ -175,6 +175,20 @@ class TestSurfaceCommand:
         assert captured.out.count("nan") == 4
         assert "mean duration must be positive" in captured.err
 
+    @pytest.mark.parametrize("scheme", ["f1", "f2"])
+    @pytest.mark.parametrize("args, given", [
+        (["--axis2", "s:0:0.3:2", "--fix", "n=3"], "n"),
+        (["--axis2", "s:0:0.3:2", "--fix", "m=1"], "m"),
+        (["--axis2", "n:1:3:3", "--fix", "s=0.1"], "n"),
+    ], ids=["fix-n-only", "fix-m-only", "n-as-axis"])
+    def test_one_repreparation_index_exits_2(self, scheme, args, given, capsys):
+        code = main(["surface", "--scheme", scheme, "--axis1", "theta:0:1:2", *args,
+                     "--fix", "b_plus=1", "--fix", "j=1/6", "--fix", "t0=1.5"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: scheme {scheme!r} takes the indices n and m "
+                                f"together or neither, got only {given}\n")
 
     @pytest.mark.parametrize("scheme", ["f1", "f2"])
     def test_coupling_beyond_half_exits_3(self, scheme, capsys):
@@ -283,6 +297,14 @@ class TestConfigFile:
         preset = capsys.readouterr().out
         assert configured != preset
         assert len(configured.strip().split("\n")) == 1 + 3 * 3
+
+    def test_one_repreparation_index_in_config_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text("b_plus=1\nj=1/6\nt0=1.5\nm=0\n")
+        code = main(["surface", "--scheme", "f1", "--axis1", "theta:0:1:2",
+                     "--axis2", "s:0:0.3:2", "--config", str(cfg)])
+        assert code == 2
+        assert "n and m together or neither, got only m" in capsys.readouterr().err
 
     def test_malformed_config_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"

@@ -6,6 +6,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from isingcontrol.evolution import (
     IsingParams,
+    OutOfRange,
     PhysicalFields,
     b_minus_magnitude,
     evolution_closed_form,
@@ -13,6 +14,7 @@ from isingcontrol.evolution import (
     hamiltonian,
     normalize_fields,
     params_from_bj,
+    require,
     spectrum,
 )
 from isingcontrol.linalg import dag, hermitian_eigenvalues
@@ -333,6 +335,27 @@ class TestStackedModels:
         with pytest.raises(ValueError) as stacked, np.errstate(over="ignore", invalid="ignore"):
             normalize_fields(PhysicalFields(*stack(rows)))
         assert check_prefix(stacked) == check_prefix(alone)
+
+
+class TestRequire:
+    def test_scalar_failure_marks_itself(self):
+        with pytest.raises(ValueError) as excinfo:
+            require(0.7 <= 0.5, 0.7, "j must lie in [0, 1/2], got {}")
+        assert isinstance(excinfo.value, OutOfRange)
+        assert str(excinfo.value) == "j must lie in [0, 1/2], got 0.7"
+        assert excinfo.value.failed is True
+
+    def test_stack_failure_marks_exactly_the_failing_entries(self):
+        j = np.array([0.1, 0.7, 0.2, math.nan, -0.3])
+        with pytest.raises(ValueError) as excinfo:
+            require((0.0 <= j) & (j <= 0.5), j, "j must lie in [0, 1/2], got {}")
+        assert isinstance(excinfo.value, OutOfRange)
+        assert str(excinfo.value) == "j must lie in [0, 1/2], got 0.7"
+        assert np.array_equal(excinfo.value.failed, [False, True, False, True, True])
+
+    def test_holding_predicate_passes(self):
+        require(np.array([True, True]), np.array([1.0, 2.0]), "never {}")
+        require(True, 1.0, "never {}")
 
 
 class TestOracle:

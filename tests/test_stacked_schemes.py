@@ -1,6 +1,6 @@
 """Every scheme function takes floats or stacks of cells: a stack equals its
 point-by-point calls bit for bit, and a stack with one out-of-range entry
-raises that entry's own message."""
+raises that entry's own message, with a mask that marks that entry."""
 import math
 
 import numpy as np
@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from isingcontrol.control import situation2_phases
 from isingcontrol.discrimination import f_ab, f_dr1, f_n, f_so
-from isingcontrol.evolution import params_from_bj
+from isingcontrol.evolution import OutOfRange, params_from_bj
 from isingcontrol.linalg import STACK_CELLS
 from isingcontrol.optimize import fdr2_value
 from isingcontrol.states import evolved_pair_bj, schmidt_closed_form
@@ -149,6 +149,9 @@ def test_one_bad_entry_raises_its_own_message(name, data):
     columns[column][where] = data.draw(INVALID[column])
     with pytest.raises(ValueError) as alone:
         fn(**cell(columns, where), **floats)
-    with pytest.raises(ValueError) as stack:
+    with pytest.raises(OutOfRange) as stack:
         fn(**columns, **floats)
     assert str(stack.value) == str(alone.value)
+    # the mask marks exactly the bad entry, in the stack's shape
+    assert np.flatnonzero(stack.value.failed).tolist() == [where]
+    assert stack.value.failed.shape == columns[column].shape

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from isingcontrol import sweeps
 from isingcontrol.discrimination import f_dr1
-from isingcontrol.evolution import params_from_bj
+from isingcontrol.evolution import OutOfRange, params_from_bj
 from isingcontrol.optimize import OBJECTIVE_MODES
 from isingcontrol.sweeps import (
     MAX_CELLS,
@@ -72,6 +72,24 @@ class TestSpecValidation:
     def test_bad_mode(self):
         with pytest.raises(ValueError, match="mode"):
             tiny_spec(mode="whatever")
+
+    @pytest.mark.parametrize("scheme", ["f1", "f2"])
+    @pytest.mark.parametrize("axis2, fixed, given", [
+        (Axis("s", 0.0, 0.3, 2), {"n": 3}, "n"),
+        (Axis("s", 0.0, 0.3, 2), {"m": 1}, "m"),
+        (Axis("n", 1, 3, 3), {"s": 0.1}, "n"),
+    ], ids=["fix-n-only", "fix-m-only", "n-as-axis"])
+    def test_repreparation_indices_come_together(self, scheme, axis2, fixed, given):
+        base = {"b_plus": 1.0, "j": 1 / 6, "t0": 1.5}
+        with pytest.raises(ValueError, match=f"n and m together or neither, got only {given}"):
+            SweepSpec(scheme=scheme, axis1=Axis("theta", 0, 1, 2), axis2=axis2,
+                      fixed={**base, **fixed})
+        # both, or neither, are accepted
+        other = "m" if given == "n" else "n"
+        SweepSpec(scheme=scheme, axis1=Axis("theta", 0, 1, 2), axis2=axis2,
+                  fixed={**base, **fixed, other: 1})
+        SweepSpec(scheme=scheme, axis1=Axis("theta", 0, 1, 2), axis2=Axis("s", 0.0, 0.3, 2),
+                  fixed=base)
 
 
 class TestRunSweep:
@@ -136,6 +154,22 @@ class TestRunSweep:
         np.testing.assert_allclose(result.values[:, 0], 0.0, atol=1e-12)
         # homogeneous limit ratio=0 (R=1): phi - phi' = -2t and 4Jt = 2t, so f = -4t
         np.testing.assert_allclose(result.values[0], -4.0 * np.linspace(0, 6, 7), atol=1e-10)
+
+    def test_csv_text_matches_the_per_value_format(self):
+        # the format of the cell-by-cell serializer: 12 digits, no "-0"
+        def fmt(v):
+            return f"{0.0 if v == 0.0 else v:.12g}"
+
+        a1 = np.array([-0.0, 0.1 + 0.2, 123456789012.5])
+        a2 = np.array([1 / 3, -1e-300, 2.0])
+        values = np.array([-0.0, math.nan, math.inf, 0.1 + 0.2, 1 / 3, -math.inf,
+                           1e-300, 1e21, -123456789012.5])
+        expected = "axis1,axis2,value\n" + "".join(
+            f"{fmt(v1)},{fmt(v2)},{fmt(v)}\n"
+            for (v1, v2), v in zip([(v1, v2) for v1 in a1 for v2 in a2], values))
+        assert sweeps._csv_text(a1, a2, values) == expected
+        assert expected.splitlines()[1:4] == ["0,0.333333333333,0", "0,-1e-300,nan", "0,2,inf"]
+        assert expected.splitlines()[-1] == "123456789012,2,-123456789012"
 
     def test_mixed_schemes_smoke(self):
         for scheme, fixed in (
@@ -268,6 +302,11 @@ def grid_specs(draw):
                  draw(st.integers(2, 4))) for name in names]
     fixed = {name: draw_value(draw, name) for name in params
              if name not in names and (name not in defaults or draw(st.booleans()))}
+    # the repreparation indices n and m come both or neither
+    given = {"n", "m"} & ({*names} | fixed.keys())
+    if len(given) == 1:
+        missing = ({"n", "m"} - given).pop()
+        fixed[missing] = draw_value(draw, missing)
     return SweepSpec(scheme=scheme, axis1=axes[0], axis2=axes[1], fixed=fixed,
                      mode=draw(st.sampled_from(OBJECTIVE_MODES)))
 
@@ -276,11 +315,13 @@ def all_nan(scheme, params, mode):
     return np.full(np.broadcast_shapes(*(np.shape(v) for v in params.values())), math.nan)
 
 
-@settings(max_examples=300, deadline=None)
-@given(grid_specs())
-def test_array_path_matches_scalar_path(spec):
+def sweep_matching_cells(spec, stacked_fn=None):
+    """The sweep, checked to equal its all-per-cell reference, and the
+    number of cells that the per-cell path re-ran.  ``stacked_fn`` replaces
+    the scheme's function in the stacked pass only."""
     scheme = SCHEMES[spec.scheme]
     on_stacks = sweeps._on_stacks
+    stacked = replace(scheme, fn=stacked_fn) if stacked_fn else scheme
     fallback = []
 
     def counted(params, mode):
@@ -290,15 +331,54 @@ def test_array_path_matches_scalar_path(spec):
     # the stacked calls get the uncounted fn, so only the per-cell path counts
     with mock.patch.dict(SCHEMES, {spec.scheme: replace(scheme, fn=counted)}), \
             mock.patch.object(sweeps, "_on_stacks",
-                              lambda _, params, mode: on_stacks(scheme, params, mode)):
+                              lambda _, params, mode: on_stacks(stacked, params, mode)):
         grid = run_sweep(spec)
     # the reference: no stacked pass, so every cell runs on its own
     with mock.patch.object(sweeps, "_on_stacks", all_nan):
         scalar = run_sweep(spec)
     assert grid.failures == scalar.failures
     np.testing.assert_allclose(grid.values, scalar.values, rtol=0, atol=1e-13)
+    assert grid.csv_text == scalar.csv_text
+    return grid, len(fallback)
+
+
+@settings(max_examples=300, deadline=None)
+@given(grid_specs())
+def test_array_path_matches_scalar_path(spec):
+    grid, reruns = sweep_matching_cells(spec)
     # the scalar path re-ran exactly the failing cells
-    assert len(fallback) == len(grid.failures)
+    assert reruns == len(grid.failures)
+
+
+@pytest.mark.parametrize("scheme", ["n-mix", "f1", "f2", "witness"])
+def test_out_of_range_cells_past_the_first_block_leave_the_rest_stacked(scheme):
+    # one stacked group of 400 cells: theta < 0 in the first row, theta > pi/2
+    # in the last rows (past the first STACK_CELLS block), s < 0 in every row
+    spec = SweepSpec(scheme=scheme, axis1=Axis("theta", -0.1, 1.7, 20),
+                     axis2=Axis("s", -0.01, 0.5, 20),
+                     fixed={"b_plus": 1.0, "j": 1 / 6, "t0": 1.5, "state": 2, "wi": 0,
+                            "wj": 1} if scheme == "witness" else
+                           {"b_plus": 1.0, "j": 1 / 6, "t0": 1.5})
+    grid, reruns = sweep_matching_cells(spec)
+    assert reruns == len(grid.failures)
+    assert 20 <= len(grid.failures) < 400   # witness leaves theta unchecked
+
+
+@pytest.mark.parametrize("failed", [np.ones(3, dtype=bool), np.ones((200, 1), dtype=bool),
+                                    True, np.zeros(200, dtype=bool)],
+                         ids=["other-length", "other-shape", "bool", "marks-none"])
+def test_a_mask_that_drops_nothing_ends_the_retries(failed):
+    spec = SweepSpec(scheme="so", axis1=Axis("theta", -0.1, 1.6, 10),
+                     axis2=Axis("b_plus", 0.0, 5.0, 20), fixed={"j": 1 / 6, "t": 1.0})
+    calls = []
+
+    def raises_mask(params, mode):
+        calls.append(params)
+        raise OutOfRange("stacked call failed", failed)
+
+    _, reruns = sweep_matching_cells(spec, raises_mask)
+    # one stacked call, then every cell of the group on its own
+    assert len(calls) == 1 and reruns == 200
 
 
 def test_array_path_isolates_an_evaluator_that_raises():
