@@ -21,26 +21,25 @@ import math
 import operator
 import os
 import sys
+from typing import TYPE_CHECKING
 
 # One BLAS thread unless the caller asks for more: no command runs a BLAS
 # call large enough to split, while the worker that OpenBLAS otherwise
 # starts per core as numpy loads slows the start by 60-70 ms whenever the
-# other cores are busy.  OpenBLAS reads this once, when numpy first loads,
-# which the package's lazy exports leave to the import below.
+# other cores are busy.  OpenBLAS reads this once, when numpy first loads.
+# This module loads only the standard library, and each command imports
+# the package modules it uses when it runs, so that is later than here.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-from . import sweeps  # noqa: E402
-from .control import (
-    apply_situation1,
-    apply_situation2,
-    fidelity_overlap,
-    plan_situation1,
-    plan_situation2,
-)
-from .evolution import PhysicalFields, params_from_bj
-from .optimize import OBJECTIVE_MODES
-from .states import initial_pair
-from .verify import run_verify
+if TYPE_CHECKING:
+    from . import sweeps
+
+# the parser's choices, kept equal to sorted(sweeps.SCHEMES) and
+# optimize.OBJECTIVE_MODES by the tests: naming them here keeps numpy out
+# of building the parser
+SCHEME_NAMES = ("ab", "dr1", "dr2", "f-curve", "f1", "f2", "n", "n-mix", "schmidt",
+                "so", "witness")
+MODE_NAMES = ("as-printed", "reprepare-originals")
 
 _NUMBER_CHARS = set("0123456789.+-*/() epi")
 _CONSTANTS = {"pi": math.pi, "e": math.e}
@@ -81,8 +80,10 @@ def parse_axis(text: str) -> sweeps.Axis:
         raise argparse.ArgumentTypeError(
             f"axis must be name:min:max:steps, got {text!r}")
     name, lo, hi, steps = parts
-    return sweeps.Axis(name=name, lo=parse_number(lo), hi=parse_number(hi),
-                       steps=int(steps))
+    lo, hi, steps = parse_number(lo), parse_number(hi), int(steps)
+    from . import sweeps
+
+    return sweeps.Axis(name=name, lo=lo, hi=hi, steps=steps)
 
 
 def parse_fix(text: str) -> tuple[str, float]:
@@ -165,17 +166,17 @@ def _cmd_surface(args) -> int:
     config = read_config(args.config)
     fixed = _config_fixed(config)
     fixed.update(dict(args.fix or ()))
-    spec = sweeps.SweepSpec(
-        scheme=args.scheme,
-        axis1=args.axis1,
-        axis2=args.axis2,
-        fixed=fixed,
-        mode=_pick(args.mode, config, "mode", "as-printed"),
-    )
+    mode = _pick(args.mode, config, "mode", "as-printed")
+    from . import sweeps
+
+    spec = sweeps.SweepSpec(scheme=args.scheme, axis1=args.axis1, axis2=args.axis2,
+                            fixed=fixed, mode=mode)
     return _emit_sweep(sweeps.run_sweep(spec), args.out)
 
 
 def _cmd_verify(args) -> int:
+    from .verify import run_verify
+
     report = run_verify(level=args.level)
     for line in report.lines():
         print(line)
@@ -183,6 +184,11 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_plan(args) -> int:
+    from .control import (apply_situation1, apply_situation2, fidelity_overlap,
+                          plan_situation1, plan_situation2)
+    from .evolution import PhysicalFields, params_from_bj
+    from .states import initial_pair
+
     theta = args.theta
     beta1, beta2 = initial_pair(theta)
     if args.situation == 1:
@@ -217,19 +223,21 @@ def _cmd_plan(args) -> int:
 
 def _cmd_figure3(args) -> int:
     config = read_config(args.config)
-    spec = sweeps.figure3_spec(
-        steps=_pick(args.steps, config, "steps", 50, int),
-        overrides=_config_fixed(config),
-    )
+    steps = _pick(args.steps, config, "steps", 50, int)
+    overrides = _config_fixed(config)
+    from . import sweeps
+
+    spec = sweeps.figure3_spec(steps=steps, overrides=overrides)
     return _emit_sweep(sweeps.run_sweep(spec), args.out)
 
 
 def _cmd_figure4(args) -> int:
     config = read_config(args.config)
-    result = sweeps.figure4_run(
-        steps=_pick(args.steps, config, "steps", 25, int),
-        overrides=_config_fixed(config),
-    )
+    steps = _pick(args.steps, config, "steps", 25, int)
+    overrides = _config_fixed(config)
+    from . import sweeps
+
+    result = sweeps.figure4_run(steps=steps, overrides=overrides)
     sys.stderr.write(
         f"figure4: operative mode {result.mode} "
         f"(as-printed coverage {result.coverage_as_printed:.3f}, "
@@ -242,12 +250,12 @@ def _cmd_figure4(args) -> int:
 
 def _cmd_figure5(which: str, args) -> int:
     config = read_config(args.config)
-    spec = sweeps.figure5_spec(
-        which,
-        scheme=_pick(args.scheme, config, "scheme", "n-mix"),
-        theta_steps=_pick(args.steps, config, "steps", 25, int),
-        overrides=_config_fixed(config),
-    )
+    scheme = _pick(args.scheme, config, "scheme", "n-mix")
+    steps = _pick(args.steps, config, "steps", 25, int)
+    overrides = _config_fixed(config)
+    from . import sweeps
+
+    spec = sweeps.figure5_spec(which, scheme=scheme, theta_steps=steps, overrides=overrides)
     return _emit_sweep(sweeps.run_sweep(spec), args.out)
 
 
@@ -258,13 +266,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     surface = sub.add_parser("surface", help="evaluate a scheme over a 2-axis grid")
-    surface.add_argument("--scheme", required=True, choices=sorted(sweeps.SCHEMES))
+    surface.add_argument("--scheme", required=True, choices=SCHEME_NAMES)
     surface.add_argument("--axis1", required=True, type=parse_axis,
                          metavar="name:min:max:steps")
     surface.add_argument("--axis2", required=True, type=parse_axis,
                          metavar="name:min:max:steps")
     surface.add_argument("--fix", action="append", type=parse_fix, metavar="name=value")
-    surface.add_argument("--mode", default=None, choices=OBJECTIVE_MODES)
+    surface.add_argument("--mode", default=None, choices=MODE_NAMES)
     surface.add_argument("--out", default=None, help="output path (default stdout)")
     surface.add_argument("--config", default=None,
                          help="key=value file; flags beat it, it beats presets")

@@ -90,6 +90,8 @@ class SweepSpec:
             if name not in known:
                 raise ValueError(
                     f"fixed parameter {name!r} is not used by scheme {self.scheme!r}")
+            if name in (self.axis1.name, self.axis2.name):
+                raise ValueError(f"parameter {name!r} is both an axis and fixed")
         provided = {self.axis1.name, self.axis2.name} | set(self.fixed)
         missing = [p for p in SCHEMES[self.scheme].params
                    if p not in provided and p not in SCHEMES[self.scheme].defaults]

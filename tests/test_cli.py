@@ -1,4 +1,5 @@
 import argparse
+import json
 import math
 import os
 import subprocess
@@ -9,7 +10,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import isingcontrol
-from isingcontrol.cli import CONFIG_MAX_CHARS, main, parse_axis, parse_number
+from isingcontrol import sweeps
+from isingcontrol.cli import CONFIG_MAX_CHARS, build_parser, main, parse_axis, parse_number
+from isingcontrol.optimize import OBJECTIVE_MODES
 
 
 # arithmetic that parse_number accepts: numbers, pi and e under + - * / and parentheses
@@ -90,6 +93,58 @@ class TestProcessStart:
         proc = subprocess.run([sys.executable, "-c", self.CODE], env=env,
                               capture_output=True, text=True, check=True)
         assert proc.stdout.split() == ["False", expected]
+
+    # main(argv) with its output dropped, then the exit code, whether numpy
+    # loaded, and the package modules that loaded
+    MAIN = ("import contextlib, io, sys\n"
+            "from isingcontrol.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    try:\n"
+            "        code = main(sys.argv[1:])\n"
+            "    except SystemExit as exc:\n"
+            "        code = exc.code\n")
+    REPORT = ("import json\n"
+              "print(json.dumps([code, 'numpy' in sys.modules,\n"
+              "                  sorted(m for m in sys.modules if m.startswith('isingcontrol.'))]))")
+
+    def probe(self, *argv, run=MAIN):
+        env = dict(os.environ, PYTHONPATH=str(Path(isingcontrol.__file__).parents[1]))
+        proc = subprocess.run([sys.executable, "-c", run + self.REPORT, *argv], env=env,
+                              capture_output=True, text=True, check=True)
+        return json.loads(proc.stdout)
+
+    def test_building_the_parser_loads_no_numpy(self):
+        run = "import sys\nfrom isingcontrol.cli import build_parser\nbuild_parser()\ncode = 0\n"
+        assert self.probe(run=run) == [0, False, ["isingcontrol.cli"]]
+
+    @pytest.mark.parametrize("argv, code", [
+        (["--help"], 0),
+        (["figure3", "--steps", "x"], 2),
+        (["figure3", "--config", "/nonexistent"], 2),
+    ], ids=["help", "usage-error", "missing-config"])
+    def test_help_and_input_errors_load_no_numpy(self, argv, code):
+        assert self.probe(*argv) == [code, False, ["isingcontrol.cli"]]
+
+    def test_verify_loads_neither_sweeps_nor_optimize(self):
+        code, _, modules = self.probe("verify", "--level", "fast")
+        assert code == 0
+        assert "isingcontrol.verify" in modules
+        assert not {"isingcontrol.sweeps", "isingcontrol.optimize"} & set(modules)
+
+    def test_plan_loads_only_its_modules(self):
+        argv = ["plan", "--situation", "1", "--t", "pi/2", "--b-plus", "1", "--j", "0.25",
+                "--n", "2", "--m", "0"]
+        assert self.probe(*argv) == [0, True, [
+            "isingcontrol.cli", "isingcontrol.control", "isingcontrol.evolution",
+            "isingcontrol.linalg", "isingcontrol.states"]]
+
+    def test_parser_choices_match_the_package(self):
+        parser = build_parser()
+        commands = next(a for a in parser._actions
+                        if isinstance(a, argparse._SubParsersAction)).choices
+        choices = {a.dest: a.choices for a in commands["surface"]._actions}
+        assert tuple(choices["scheme"]) == tuple(sorted(sweeps.SCHEMES))
+        assert tuple(choices["mode"]) == OBJECTIVE_MODES
 
 
 class TestSurfaceCommand:

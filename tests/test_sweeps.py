@@ -59,6 +59,12 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="not used"):
             tiny_spec(fixed={"b_plus": 1.0})
 
+    @pytest.mark.parametrize("name", ["theta", "dummy"])
+    def test_axis_also_fixed(self, name):
+        # before, the axis silently won, so an out-of-range fixed theta = 5 went unnoticed
+        with pytest.raises(ValueError, match=f"parameter '{name}' is both an axis and fixed"):
+            tiny_spec(fixed={name: 5.0})
+
     def test_steps_minimum(self):
         with pytest.raises(ValueError, match="at least 2"):
             Axis("theta", 0, 1, 1)
