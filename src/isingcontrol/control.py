@@ -215,8 +215,9 @@ def plan_situation2(t: float, fields: PhysicalFields, duration: float, n: int, m
     r_prime = math.sqrt(1.0 + ratio * math.sin(rt) ** 2)
     f_value = phi - phi_prime - 4.0 * fields.j * t
     middle_phase = -(m * math.pi + (phi - phi_prime + 4.0 * fields.j * t) / 2.0)
-    b_plus_prime = (n * math.pi - fields.b_plus * t) / duration
-    b_minus_prime = ((m + n) * math.pi - (phi + phi_prime) / 2.0) / duration
+    with np.errstate(all="ignore"):     # an overflow is reported just below
+        b_plus_prime = (n * math.pi - fields.b_plus * t) / duration
+        b_minus_prime = ((m + n) * math.pi - (phi + phi_prime) / 2.0) / duration
     if not (math.isfinite(b_plus_prime) and math.isfinite(b_minus_prime)):
         raise ValueError(
             f"correcting fields are not finite: B_plus_prime = {b_plus_prime}, "

@@ -17,6 +17,7 @@ which :func:`pair_from_local_bases` implements for the consistency test.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -167,14 +168,22 @@ def _schmidt(theta, j, t) -> SchmidtResult:
     )
 
 
-def witness_value(rho: np.ndarray, i: int, j: int) -> float:
+def witness_value(rho: np.ndarray, i: int, j: int):
     """Expectation of the witness W_ij = 1 - 2 |beta_ij><beta_ij| in rho.
 
     Negative values certify entanglement; positive values certify nothing.
+    A float for one density, an array for a (..., 4, 4) stack of them.
     """
+    val = np.trace(_witness(i, j) @ np.asarray(rho, dtype=complex), axis1=-2, axis2=-1).real
+    return val if val.ndim else float(val)
+
+
+@functools.cache
+def _witness(i: int, j: int) -> np.ndarray:
+    """The witness matrix W_ij, built once per index pair and read-only."""
     w = np.eye(4, dtype=complex) - 2.0 * projector(bell(i, j))
-    val = np.trace(w @ np.asarray(rho, dtype=complex))
-    return float(val.real)
+    w.flags.writeable = False
+    return w
 
 
 def evolved_pair_bj(theta, b_plus, j, t) -> tuple[np.ndarray, np.ndarray]:

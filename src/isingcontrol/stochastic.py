@@ -8,8 +8,9 @@ the interaction is the Gaussian average of the unitary orbit,
 which in the energy eigenbasis of H is pure dephasing: the (k, l) matrix
 element picks up exp(-i w t0 - w^2 s^2 / 2) with w = E_k - E_l.
 :func:`dephase` evaluates that analytically in the closed-form eigensystem
-of :func:`evolution.spectrum`; :func:`quadrature_oracle` recomputes it by
-Gauss-Hermite quadrature as an independent check.
+of :func:`evolution.spectrum`, as matrices; :func:`quadrature_oracle`
+recomputes it by Gauss-Hermite quadrature as an independent check.  Both
+take stacks, so ``verify`` runs them once per theta row or (theta, b+).
 
 The integration range is the whole real line, which physically presumes
 t0/s >> 1; ``GaussianTime`` accepts any ratio but flags models below
@@ -17,13 +18,18 @@ t0/s = 3 (the working range of the fidelity surfaces) as suspect.
 
 The repreparation fidelities F1 and F2 apply the protocol planned at
 t = t0 to the mixed state and score 1/2 (Tr rho1 rho1'' + Tr rho2 rho2''),
-the no-measurement form of the average fidelity, from the density-matrix
-pipeline.  The do-nothing closed form ``f_n_mix`` is correct and
-cross-checked against its pipeline on every call.
+the no-measurement form of the average fidelity.  Their pipeline builds no
+density: for a pure state each trace is a quadratic form in its four
+eigen-components, with the factors of :func:`dephase` as coefficients (see
+``_mixed_fidelity``); ``dephase`` stays the matrix route, which the mixed
+states, the quadrature oracle and the tests use.  The do-nothing closed
+form ``f_n_mix`` is correct and cross-checked against that pipeline on
+every call.
 """
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -41,10 +47,11 @@ from .evolution import (
     spectrum,
 )
 from .linalg import STACK_CELLS, dag, projector
-from .states import initial_pair, witness_value
+from .states import check_angle, initial_pair, witness_value
 
 MODEL_VALIDITY_RATIO = 3.0
 FNMIX_CROSSCHECK_TOL = 1e-9
+PAIR_BLOCK = 4 * STACK_CELLS   # cells per block of the pair form: 64 KiB a (PAIR_BLOCK, 4) array
 
 
 class FormulaDeviationWarning(UserWarning):
@@ -97,8 +104,14 @@ def dephase(rho: np.ndarray, eigensystem: tuple, t0, s) -> np.ndarray:
 
 
 def gaussian_mixed_state(rho: np.ndarray, p: IsingParams, g: GaussianTime) -> np.ndarray:
-    """Mixed state after a Gaussian-duration distortion (rescaled time units)."""
-    return dephase(rho, spectrum(p), g.t0, g.s)
+    """Mixed state after a Gaussian-duration distortion (rescaled time units).
+
+    The mean and spread of ``g`` may be arrays that broadcast against each
+    other and against the stack of rho; the result is the (..., 4, 4) stack
+    of the mixed states, each equal to its point-by-point call bit for bit.
+    """
+    t0, s = (np.asarray(v)[..., None, None] for v in np.broadcast_arrays(g.t0, g.s))
+    return dephase(rho, spectrum(p), t0, s)
 
 
 @functools.cache
@@ -117,16 +130,36 @@ def quadrature_oracle(rho: np.ndarray, p: IsingParams, g: GaussianTime,
     (1/sqrt(pi)) sum_i w_i U(t_i) rho U(t_i)^dag, with the node propagators
     built as one stack by :func:`evolution_closed_form`.  The s = 0 model
     is the delta distribution and is evaluated directly.
+
+    rho (..., 4, 4), stacked params and the mean and spread of ``g`` may be
+    arrays that broadcast against each other; the result is the (..., 4, 4)
+    stack of their averages.  The sharp entries take one call of the
+    propagator; the others take one call per block of entries whose node
+    propagators fill STACK_CELLS matrices, which bounds the memory of any
+    stack.  Each entry equals its point-by-point call bit for bit.
     """
     if nodes < 16:
         raise ValueError(f"need at least 16 quadrature nodes, got {nodes}")
     rho = np.asarray(rho, dtype=complex)
-    if g.s == 0.0:
-        u = evolution_closed_form(p, g.t0)
-        return u @ rho @ dag(u)
+    columns = np.broadcast_arrays(p.b_plus, p.b_minus, p.j, p.scale, g.t0, g.s)
+    shape = np.broadcast_shapes(columns[0].shape, rho.shape[:-2])
+    *models, t0, s = (np.broadcast_to(v, shape).ravel() for v in columns)
+    rho = np.broadcast_to(rho, shape + (4, 4)).reshape(-1, 4, 4)
+    out = np.empty_like(rho)
+    sharp = s == 0.0
+    if sharp.any():
+        u = evolution_closed_form(IsingParams(*(v[sharp] for v in models)), t0[sharp])
+        out[sharp] = u @ rho[sharp] @ dag(u)
     x, w = _hermite_rule(nodes)
-    u = evolution_closed_form(p, g.t0 + math.sqrt(2.0) * g.s * x)
-    return (w[:, None, None] * (u @ rho @ dag(u))).sum(axis=0) / math.sqrt(math.pi)
+    spread = np.flatnonzero(~sharp)
+    step = max(1, STACK_CELLS // nodes)         # entries per block
+    for start in range(0, spread.size, step):
+        index = spread[start:start + step]
+        q = IsingParams(*(v[index, None] for v in models))
+        u = evolution_closed_form(q, t0[index, None] + math.sqrt(2.0) * s[index, None] * x)
+        mixed = u @ rho[index, None] @ dag(u)
+        out[index] = (w[:, None, None] * mixed).sum(axis=-3) / math.sqrt(math.pi)
+    return out.reshape(shape + (4, 4))
 
 
 def witness_table(theta, p: IsingParams, g: GaussianTime) -> dict:
@@ -165,12 +198,15 @@ def witness_table(theta, p: IsingParams, g: GaussianTime) -> dict:
 
 
 def witness_table_numeric(theta: float, p: IsingParams, g: GaussianTime) -> dict:
-    """Same table computed through the mixing pipeline (oracle side)."""
-    beta1, beta2 = initial_pair(theta)
-    mixed = {
-        1: gaussian_mixed_state(projector(beta1), p, g),
-        2: gaussian_mixed_state(projector(beta2), p, g),
-    }
+    """Same table computed through the mixing pipeline (oracle side).
+
+    The mean and spread of ``g`` may be arrays that broadcast against each
+    other: every entry is then an array of their shape, from one stacked
+    :func:`gaussian_mixed_state` per preparation, and equals its
+    point-by-point call bit for bit.
+    """
+    mixed = {state: gaussian_mixed_state(projector(beta), p, g)
+             for state, beta in enumerate(initial_pair(theta), start=1)}
     return {(state, i, j): witness_value(rho, i, j)
             for state, rho in mixed.items() for i in (0, 1) for j in (0, 1)}
 
@@ -182,27 +218,53 @@ def _mixed_fidelity(theta, model: IsingParams | PhysicalFields, t0: float, s,
     by u, for floats or arrays of theta and s that broadcast against each
     other.
 
-    The pair is built, and theta checked, for the whole stack at once, so a
-    failed check marks its entries in the stack's shape.  The densities are
-    then dephased STACK_CELLS cells at a time, so that a large stack needs
-    no more memory for them than one block.
+    No density is built.  With V the model's real eigenvectors, a = V^T beta
+    and c = V^T u^dag beta, the trace for rho = |beta><beta| is the
+    quadratic form in the four eigen-components
+
+        Tr(rho u D(rho) u^dag) = sum_kl f_kl z_k conj(z_l),  z_k = conj(c_k) a_k,
+
+    with f_kl = exp(-i w_kl t0 - w_kl^2 s^2 / 2) the factors of
+    :func:`dephase`.  As f_kk = 1 and f_lk = conj(f_kl), it is summed as
+    sum_k |z_k|^2 plus twice the real parts of the six pairs k < l.  Each
+    step is entry by entry, so a stack equals its point-by-point calls bit
+    for bit.
+
+    theta is checked for the whole stack at once, so a failed check marks
+    its entries in the stack's shape.  The form then runs PAIR_BLOCK cells
+    at a time, which bounds its temporaries for any size of stack.
     """
-    eigensystem = spectrum(model)
+    energies, vectors = spectrum(model)
+    rotation = vectors if u is None else np.conj(u) @ vectors    # c = beta @ rotation
     theta, s = np.broadcast_arrays(theta, s)
-    beta1, beta2 = initial_pair(theta)
+    check_angle(theta)
     out = np.empty(theta.shape)
-    flat_beta2, flat_s, flat_out = beta2.reshape(-1, 4), s.ravel(), out.reshape(-1)
-    for start in range(0, out.size, STACK_CELLS):
-        block = slice(start, start + STACK_CELLS)
+    flat_theta, flat_s, flat_out = theta.reshape(-1), s.reshape(-1), out.reshape(-1)
+    for start in range(0, out.size, PAIR_BLOCK):
+        block = slice(start, start + PAIR_BLOCK)
         total = 0.0
-        for beta in (beta1, flat_beta2[block]):
-            rho = projector(beta)
-            mixed = dephase(rho, eigensystem, t0, flat_s[block, None, None])
-            if u is not None:
-                mixed = u @ mixed @ dag(u)
-            total = total + np.trace(rho @ mixed, axis1=-2, axis2=-1).real
+        for beta in initial_pair(flat_theta[block]):
+            total = total + _pure_term(beta.real, energies, vectors, rotation, t0,
+                                       flat_s[block])
         flat_out[block] = 0.5 * total
     return out[()]
+
+
+def _pure_term(beta, energies, vectors, rotation, t0, s):
+    """Tr(rho u D(rho) u^dag) for real states beta (..., 4) by the form of
+    :func:`_mixed_fidelity`; s broadcasts against the states' stack."""
+    # beta @ r summed in a fixed order, so that a stack rounds as its points do
+    a, c = (sum(beta[..., m, None] * r[m] for m in range(4)) for r in (vectors, rotation))
+    z = np.conj(c) * a
+    x, y = z.real, z.imag
+    total = np.sum(x * x + y * y, axis=-1)
+    for k, l in itertools.combinations(range(4), 2):
+        w = energies[k] - energies[l]
+        re = x[..., k] * x[..., l] + y[..., k] * y[..., l]
+        im = y[..., k] * x[..., l] - x[..., k] * y[..., l]
+        phased = np.cos(w * t0) * re + np.sin(w * t0) * im
+        total = total + 2.0 * np.exp(-0.5 * np.square(w * s)) * phased
+    return total
 
 
 def f_n_mix_pipeline(theta, b_plus: float, j: float, t0: float, s):

@@ -13,8 +13,10 @@ closed form and one stacked eigh.  The Schmidt suite builds its n^2
 (j, t) propagators in one call and, per theta row, compares
 ``schmidt_closed_form`` with one matmul and one stacked eigvalsh; the
 do-nothing suite compares ``f_n`` with the state pipeline one theta row at
-a time.  The blocks and rows keep the memory of a run near that of a
-point-by-point one.
+a time.  The Gaussian suites run the quadrature oracle once per theta row
+and the mixing and witness pipelines once per (theta, b+), each over all
+of its points.  The blocks and rows keep the memory of a run near that of
+a point-by-point one.
 """
 from __future__ import annotations
 
@@ -135,34 +137,37 @@ def _check_f_n(level: str, propagator) -> float:
 
 
 def _check_mixed(level: str, propagator) -> float:
+    """Per theta row, the quadrature oracle runs once over every (b+, t0, s)
+    point of the row, and the analytic mixing once per b+ over its (t0, s)
+    points."""
     n_th = 5 if level == "full" else 3
-    deviations = []
     t0_values = (math.pi / 2.0, 3.0 * math.pi / 4.0, 7.0 * math.pi / 4.0)
+    g = GaussianTime(*np.array([(t0, s) for t0 in t0_values
+                                for s in (0.0, t0 / 6.0, t0 / 3.0)]).T)
+    b_plus = np.linspace(0.0, 2.0, n_th)
+    row_params = params_from_bj(b_plus[:, None], 1.0 / 6.0)
+    deviations = []
     for theta in np.linspace(0.0, math.pi / 2.0, n_th):
-        for b_plus in np.linspace(0.0, 2.0, n_th):
-            p = params_from_bj(b_plus, 1.0 / 6.0)
-            _, beta2 = initial_pair(theta)
-            rho = projector(beta2)
-            for t0 in t0_values:
-                for s in (0.0, t0 / 6.0, t0 / 3.0):
-                    g = GaussianTime(t0, s)
-                    deviations.append(np.abs(gaussian_mixed_state(rho, p, g)
-                                             - quadrature_oracle(rho, p, g, nodes=64)).max())
+        rho = projector(initial_pair(theta)[1])
+        oracle = quadrature_oracle(rho, row_params, g, nodes=64)
+        for b, expected in zip(b_plus, oracle):
+            mixed = gaussian_mixed_state(rho, params_from_bj(b, 1.0 / 6.0), g)
+            deviations.append(np.abs(mixed - expected).max())
     return _worst(deviations)
 
 
 def _check_witnesses(level: str, propagator) -> float:
+    """Both tables once per (theta, b+), over every (t0, s) point."""
     n = 5 if level == "full" else 3
+    g = GaussianTime(*np.array([(t0, s) for t0 in (math.pi / 2.0, 7.0 * math.pi / 4.0)
+                                for s in (0.0, t0 / 4.0)]).T)
     deviations = []
     for theta in np.linspace(0.0, math.pi / 2.0, n):
         for b_plus in np.linspace(0.0, 2.0, n):
             p = params_from_bj(b_plus, 1.0 / 6.0)
-            for t0 in (math.pi / 2.0, 7.0 * math.pi / 4.0):
-                for s in (0.0, t0 / 4.0):
-                    g = GaussianTime(t0, s)
-                    closed = witness_table(theta, p, g)
-                    numeric = witness_table_numeric(theta, p, g)
-                    deviations.extend(abs(closed[k] - numeric[k]) for k in closed)
+            closed = witness_table(theta, p, g)
+            numeric = witness_table_numeric(theta, p, g)
+            deviations.extend(np.abs(closed[k] - numeric[k]).max() for k in closed)
     return _worst(deviations)
 
 

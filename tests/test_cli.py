@@ -308,6 +308,20 @@ class TestPlanCommand:
         assert captured.err.startswith("error: correcting fields are not finite")
         assert captured.err.count("\n") == 1
 
+    def test_subnormal_duration_writes_only_the_error_line(self):
+        """In a process of its own, where numpy would print its overflow
+        warning to stderr (pytest captures warnings in process)."""
+        env = dict(os.environ, PYTHONPATH=str(Path(isingcontrol.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "isingcontrol.cli", "plan", "--situation", "2",
+             "--t", "1", "--b1", "1", "--b2", "0", "--coupling", "0.5",
+             "--duration", "1e-320", "--n", "1", "--m", "0"],
+            env=env, capture_output=True, text=True)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == ("error: correcting fields are not finite: B_plus_prime = inf, "
+                               "B_minus_prime = inf for T = 1e-320\n")
+
     def test_situation2_homogeneous(self, capsys):
         code = main(["plan", "--situation", "2", "--t", "1.1", "--b1", "0.8",
                      "--b2", "0.8", "--coupling", "0.37", "--duration", "1",

@@ -1,5 +1,6 @@
 import itertools
 import time
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -134,6 +135,27 @@ class TestRunVerify:
         suite = received[:blocks(draws)]
         concatenated = [np.concatenate(column) for column in zip(*suite)]
         assert np.array_equal(concatenated, np.transpose(expected))
+
+    @pytest.mark.parametrize("level", ["fast", "full"])
+    def test_report_lines_are_pinned(self, level):
+        """The printed deviations of every suite, as checked in."""
+        pinned = (Path(__file__).parent / "data" / f"verify_{level}.txt").read_text()
+        assert run_verify(level=level).lines() == pinned.splitlines()
+
+    def test_gaussian_oracles_run_once_per_theta_row(self):
+        """The quadrature oracle runs once per theta row, the mixing and
+        witness pipelines once per (theta, b+), each over all their points."""
+        with mock.patch.object(verify, "quadrature_oracle",
+                               wraps=verify.quadrature_oracle) as quadrature, \
+                mock.patch.object(verify, "gaussian_mixed_state",
+                                  wraps=verify.gaussian_mixed_state) as mixing, \
+                mock.patch.object(verify, "witness_table_numeric",
+                                  wraps=verify.witness_table_numeric) as witnesses:
+            assert run_verify(level="full").ok
+        assert quadrature.call_count == 5
+        assert [c.args[2].t0.size for c in quadrature.call_args_list] == [9] * 5
+        assert mixing.call_count == witnesses.call_count == 25
+        assert {c.args[2].t0.size for c in witnesses.call_args_list} == {4}
 
     def test_rejects_unknown_level(self):
         with pytest.raises(ValueError, match="level"):
