@@ -200,7 +200,7 @@ def _cmd_plan(args) -> int:
               f"j={p.j:.9g}, n={plan.n}, m={plan.m})")
         print(f"  duration T            = {plan.duration:.12g}")
         print(f"  delta_b_plus          = {plan.delta_b_plus:.12g}")
-        print(f"  rational numerator s  = {plan.s_num}")
+        print(f"  rational numerator s  = {int(plan.s_num)}")
         print(f"  residual delta        = {plan.delta:.12g}")
     else:
         fields = PhysicalFields(b1=args.b1, b2=args.b2, j=args.coupling)

@@ -23,7 +23,7 @@ over many periods.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -32,6 +32,7 @@ from .evolution import (
     PhysicalFields,
     evolution_closed_form,
     normalize_fields,
+    require,
 )
 from .linalg import dag
 
@@ -106,16 +107,12 @@ class Situation1Plan:
 
     def correction(self) -> np.ndarray:
         """Propagator of the planned correction: the field raised by
-        delta_b+ for the duration T."""
-        p = self.params
-        corrected = IsingParams(
-            b_plus=p.b_plus + self.delta_b_plus,
-            b_minus=p.b_minus, j=p.j, scale=p.scale,
-        )
+        delta_b+ for the duration T; (..., 4, 4) for a stack of plans."""
+        corrected = replace(self.params, b_plus=self.params.b_plus + self.delta_b_plus)
         return evolution_closed_form(corrected, self.duration)
 
 
-def plan_situation1(t: float, p: IsingParams, n: int, m: int) -> Situation1Plan:
+def plan_situation1(t, p: IsingParams, n, m) -> Situation1Plan:
     """Choose (T, delta_b+) so that U_{b+ + db+}(T) U_{b+}(t) closes a loop.
 
         T        = n pi - t                   (must be positive)
@@ -123,17 +120,14 @@ def plan_situation1(t: float, p: IsingParams, n: int, m: int) -> Situation1Plan:
         s_num    = round(2 n j)  ->  Q(j) = s_num / (2n), delta = j - Q(j)
 
     Ties in the rounding go half away from zero, keeping |delta| <= 1/(4n).
-    Raises unless T > 0 and n != 0.
+    Raises unless T > 0 and n != 0.  Every input may be an array of cells.
     """
     duration = n * math.pi - t
-    if duration <= 0.0:
-        raise ValueError(
-            f"no time left for the loop: n pi = {n * math.pi:.6f} <= t = {t:.6f}")
-    if n == 0:
-        raise ValueError(f"loop index n must be nonzero, got {n}")
-    # round half away from zero (Python round is half-to-even)
+    require(np.logical_not(duration <= 0.0),
+            "no time left for the loop: n pi = {:.6f} <= t = {:.6f}", n * math.pi, t)
+    require(n != 0, "loop index n must be nonzero, got {:.0f}", n + 0.0)
     x = 2 * n * p.j
-    s_num = int(math.floor(x + 0.5)) if x >= 0 else -int(math.floor(-x + 0.5))
+    s_num = np.copysign(np.floor(np.abs(x) + 0.5), x)    # half away from zero
     delta = p.j - s_num / (2 * n)
     delta_b_plus = math.pi * (2 * m - n * (p.b_plus - 2 * p.j + 1.0)) / duration
     return Situation1Plan(
@@ -182,11 +176,12 @@ class Situation2Plan:
     fields: PhysicalFields
 
     def correction(self) -> np.ndarray:
-        """Propagator of the planned local fields over the duration T."""
+        """Propagator of the planned local fields over the duration T;
+        (..., 4, 4) for a stack of plans."""
         return local_propagator(self.b_plus_prime, self.b_minus_prime, self.duration)
 
 
-def plan_situation2(t: float, fields: PhysicalFields, duration: float, n: int, m: int) -> Situation2Plan:
+def plan_situation2(t, fields: PhysicalFields, duration, n, m) -> Situation2Plan:
     """Solve the local-field products for the separated-particle correction.
 
         phi, phi' = situation2_phases(B-, J, R, t)
@@ -197,31 +192,31 @@ def plan_situation2(t: float, fields: PhysicalFields, duration: float, n: int, m
 
     Only the products B+'T, B-'T are physical; the duration is a free
     choice, so it is taken as input and the fields are derived from it.
-    Raises if the phase R t overflows, or if a derived field is not finite
-    (a product that overflows, or a duration so short that the quotient
-    does).
+    Raises unless T > 0 and J > 0, if the phase R t overflows, or if a
+    derived field is not finite (a product that overflows, or a duration so
+    short that the quotient does).  Every input may be an array of cells,
+    giving a stack of plans whose fields are arrays.
     """
-    if duration <= 0.0:
-        raise ValueError(f"correction duration must be positive, got {duration}")
-    if fields.j <= 0.0:
-        raise ValueError("situation-2 planning needs a nonzero coupling during distortion")
+    require(np.logical_not(duration <= 0.0), "correction duration must be positive, got {}",
+            duration)
+    require(np.logical_not(fields.j <= 0.0),
+            "situation-2 planning needs a nonzero coupling during distortion")
     r_scale = fields.scale
     rt = r_scale * t
-    if not math.isfinite(rt):
-        raise ValueError(f"distortion phase R t = {rt} is not finite")
+    require(np.isfinite(rt), "distortion phase R t = {} is not finite", rt)
     phi, phi_prime = situation2_phases(fields.b_minus, fields.j, r_scale, t)
-    ratio = 4.0 * fields.j * fields.b_minus / r_scale**2
-    r = math.sqrt(max(0.0, 1.0 - ratio * math.sin(rt) ** 2))
-    r_prime = math.sqrt(1.0 + ratio * math.sin(rt) ** 2)
+    ratio = 4.0 * fields.j * fields.b_minus / np.square(r_scale)
+    sin2 = np.square(np.sin(rt))
+    r = np.sqrt(np.maximum(0.0, 1.0 - ratio * sin2))
+    r_prime = np.sqrt(1.0 + ratio * sin2)
     f_value = phi - phi_prime - 4.0 * fields.j * t
     middle_phase = -(m * math.pi + (phi - phi_prime + 4.0 * fields.j * t) / 2.0)
     with np.errstate(all="ignore"):     # an overflow is reported just below
         b_plus_prime = (n * math.pi - fields.b_plus * t) / duration
         b_minus_prime = ((m + n) * math.pi - (phi + phi_prime) / 2.0) / duration
-    if not (math.isfinite(b_plus_prime) and math.isfinite(b_minus_prime)):
-        raise ValueError(
-            f"correcting fields are not finite: B_plus_prime = {b_plus_prime}, "
-            f"B_minus_prime = {b_minus_prime} for T = {duration}")
+    require(np.isfinite(b_plus_prime) & np.isfinite(b_minus_prime),
+            "correcting fields are not finite: B_plus_prime = {}, B_minus_prime = {} "
+            "for T = {}", b_plus_prime, b_minus_prime, duration)
     return Situation2Plan(
         b_plus_prime=b_plus_prime,
         b_minus_prime=b_minus_prime,
@@ -234,10 +229,15 @@ def plan_situation2(t: float, fields: PhysicalFields, duration: float, n: int, m
     )
 
 
-def local_propagator(b_plus_prime: float, b_minus_prime: float, duration: float) -> np.ndarray:
-    """Propagator of two uncoupled qubits under local z-fields (diagonal)."""
-    phases = np.array([-b_plus_prime, -b_minus_prime, b_minus_prime, b_plus_prime])
-    return np.diag(np.exp(1j * phases * duration))
+def local_propagator(b_plus_prime, b_minus_prime, duration) -> np.ndarray:
+    """Propagator of two uncoupled qubits under local z-fields (diagonal);
+    arrays of cells give the stack (..., 4, 4)."""
+    phases = np.stack(np.broadcast_arrays(-b_plus_prime, -b_minus_prime, b_minus_prime,
+                                          b_plus_prime), axis=-1)
+    diagonal = np.exp(1j * (phases * np.asarray(duration)[..., None]))
+    u = np.zeros(diagonal.shape + (4,), dtype=complex)
+    u[..., range(4), range(4)] = diagonal
+    return u
 
 
 def situation2_composite(plan: Situation2Plan, fields: PhysicalFields, t: float) -> np.ndarray:

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .states import check_angle, evolved_pair_bj, initial_pair
+from .states import check_angle, evolved_pair_bj
 
 
 @dataclass(frozen=True)
@@ -170,6 +170,10 @@ def _overlaps(a, b):
 def f_dr1(theta):
     """Discriminate-and-reprepare with the computational basis: (1 + sin^2 theta)/2."""
     check_angle(theta)
+    return _dr1(theta)
+
+
+def _dr1(theta):
     return 0.5 * (1.0 + np.square(np.sin(theta)))
 
 
@@ -198,8 +202,7 @@ def f_n_pipeline(theta, b_plus, j, t):
     route of :func:`f_ab`.  Raises if any theta or j is out of range; a
     non-finite b+ or t gives nan.
     """
-    originals = initial_pair(theta)
-    distorted = evolved_pair_bj(theta, b_plus, j, t)
+    originals, distorted = evolved_pair_bj(theta, b_plus, j, t)
     stay1, stay2 = (_overlaps(beta, d) for beta, d in zip(originals, distorted))
     return 0.5 * (stay1 + stay2)
 
@@ -238,8 +241,7 @@ def f_ab(theta, b_plus, j, t):
     pi/2 limits serve as regression anchors.  A non-finite b+ or t gives
     nan.
     """
-    originals = initial_pair(theta)
-    distorted = evolved_pair_bj(theta, b_plus, j, t)
+    originals, distorted = evolved_pair_bj(theta, b_plus, j, t)
     outcomes = _product_outcomes(*_table1_angles(theta, "A"))
     p1, p2 = _votes(outcomes, distorted[0], distorted[1], _overlaps)
     return _average(p1, p2, originals, originals, _overlaps)
@@ -247,8 +249,8 @@ def f_ab(theta, b_plus, j, t):
 
 def f_so(theta, b_plus, j, t):
     """Suboptimal-control envelope: max of the two closed schemes (nan where
-    F_AB is nan)."""
-    return np.maximum(f_dr1(theta), f_ab(theta, b_plus, j, t))
+    F_AB is nan); theta is checked once, by :func:`f_ab`."""
+    return np.maximum(_dr1(theta), f_ab(theta, b_plus, j, t))
 
 
 def critical_fidelities(theta: float) -> tuple[float, ...]:

@@ -48,9 +48,8 @@ class PhysicalFields:
 
     def __post_init__(self):
         for name in ("b1", "b2", "j"):
-            if not finite(getattr(self, name)):
-                raise ValueError(f"field {name} must be finite")
-        require(self.j >= 0, self.j, "Ising coupling must be >= 0, got {}")
+            require(finite(getattr(self, name)), f"field {name} must be finite")
+        require(self.j >= 0, "Ising coupling must be >= 0, got {}", self.j)
 
     @property
     def b_plus(self) -> float:
@@ -84,54 +83,55 @@ class IsingParams:
     scale: float = 1.0
 
     def __post_init__(self):
-        if not all(map(finite, (self.b_plus, self.b_minus, self.j, self.scale))):
-            raise ValueError("IsingParams entries must be finite")
+        require(finite(self.b_plus) & finite(self.b_minus) & finite(self.j)
+                & finite(self.scale), "IsingParams entries must be finite")
         check_coupling(self.j)
-        require(abs(self.b_minus) <= 1.0 + CONSTRAINT_TOL, self.b_minus,
-                "b_minus must lie in [-1, 1], got {}")
+        require(abs(self.b_minus) <= 1.0 + CONSTRAINT_TOL,
+                "b_minus must lie in [-1, 1], got {}", self.b_minus)
         viol = abs(self.b_minus**2 + 4.0 * self.j**2 - 1.0)
-        if not holds(viol <= CONSTRAINT_TOL):
-            raise ValueError(
-                f"constraint b_minus^2 + 4 j^2 = 1 violated by {np.max(viol):.3e}")
-        require(self.scale > 0, self.scale, "scale must be positive, got {}")
-
-
-def holds(flags) -> bool:
-    """Whether a predicate holds: a bool, or every entry of a boolean array."""
-    return bool(flags.all() if isinstance(flags, np.ndarray) else flags)
+        require(viol <= CONSTRAINT_TOL, "constraint b_minus^2 + 4 j^2 = 1 violated by {:.3e}",
+                viol)
+        require(self.scale > 0, "scale must be positive, got {}", self.scale)
 
 
 class OutOfRange(ValueError):
-    """A failed :func:`require`: ``failed`` marks the entries that failed,
-    True for a scalar predicate, else a boolean array of its shape."""
+    """A failed :func:`require`: ``failed`` is True for a scalar predicate,
+    else the boolean mask of the failing entries; the message of entry k is
+    ``template`` formatted with entry k of ``values`` (arrays of the mask's
+    shape, or scalars), and ``str`` is the first failing entry's."""
 
-    def __init__(self, message: str, failed):
-        super().__init__(message)
-        self.failed = failed
+    def __init__(self, template: str, failed, values: tuple = ()):
+        self.template, self.failed, self.values = template, failed, values
+        marked = np.flatnonzero(failed) if isinstance(failed, np.ndarray) else [None]
+        super().__init__(self.message(marked[0] if len(marked) else None))
 
-
-def require(flags, value, message: str) -> None:
-    """Raise OutOfRange(message.format(v)) unless the predicate ``flags``
-    holds, v being ``value`` or, for an array, its first entry where the
-    predicate fails: a stack with one bad entry raises as that entry alone,
-    and the exception's ``failed`` marks every entry where it fails."""
-    if holds(flags):
-        return
-    failed = True
-    if isinstance(flags, np.ndarray):
-        failed = np.logical_not(flags)
-        value = np.extract(failed, np.broadcast_to(value, flags.shape))[0]
-    raise OutOfRange(message.format(value), failed)
+    def message(self, index=None) -> str:
+        """The message of the entry at flat ``index`` of the mask."""
+        return self.template.format(*(v if index is None else v.flat[index]
+                                      for v in self.values))
 
 
-def finite(x) -> bool:
-    """Whether a number, or every entry of an array, is finite."""
-    return holds(np.isfinite(x)) if isinstance(x, np.ndarray) else math.isfinite(x)
+def require(flags, template: str, *values) -> None:
+    """Raise OutOfRange unless the predicate ``flags`` holds, with the
+    message ``template.format(*values)``, or for an array the message of its
+    first failing entry: a stack with one bad entry raises as that entry
+    alone, and ``failed`` marks every entry where the predicate fails."""
+    if not isinstance(flags, np.ndarray):
+        if not flags:
+            raise OutOfRange(template, True, values)
+    elif not flags.all():
+        raise OutOfRange(template, np.logical_not(flags),
+                         tuple(np.broadcast_to(v, flags.shape) for v in values))
+
+
+def finite(x):
+    """Whether x is finite: a bool for a number, entry by entry for an array."""
+    return np.isfinite(x) if isinstance(x, np.ndarray) else math.isfinite(x)
 
 
 def check_coupling(j) -> None:
     """Raise unless j lies in [0, 1/2] (every entry, for an array; nan fails)."""
-    require((0.0 <= j) & (j <= 0.5), j, "j must lie in [0, 1/2], got {}")
+    require((0.0 <= j) & (j <= 0.5), "j must lie in [0, 1/2], got {}", j)
 
 
 def b_minus_magnitude(j):
@@ -140,11 +140,11 @@ def b_minus_magnitude(j):
     return np.sqrt(np.maximum(0.0, 1.0 - 4.0 * j * j))
 
 
-def params_from_bj(b_plus: float, j: float) -> IsingParams:
+def params_from_bj(b_plus, j) -> IsingParams:
     """Build normalized parameters from (b+, j), with b- >= 0 fixed by the
-    constraint."""
+    constraint; floats or arrays of cells."""
     check_coupling(j)
-    return IsingParams(b_plus=b_plus, b_minus=float(b_minus_magnitude(j)), j=j)
+    return IsingParams(b_plus=b_plus, b_minus=b_minus_magnitude(j), j=j)
 
 
 def normalize_fields(fields: PhysicalFields) -> IsingParams:
@@ -155,9 +155,7 @@ def normalize_fields(fields: PhysicalFields) -> IsingParams:
     normalization is undefined (any entry, for a stack).
     """
     r = fields.scale
-    if not holds(r > 0.0):
-        raise ValueError(
-            "degenerate scale R = 0 (equal fields and zero coupling); "
+    require(r > 0.0, "degenerate scale R = 0 (equal fields and zero coupling); "
             "normalization is undefined")
     return IsingParams(
         b_plus=fields.b_plus / r,
@@ -189,14 +187,19 @@ def spectrum(m: PhysicalFields | IsingParams) -> tuple[np.ndarray, np.ndarray]:
     j I + R [[cos a, -sin a], [-sin a, -cos a]] with R = hypot(b-, 2j) (1 for
     ``IsingParams``) and a = atan2(2j, b-): energies j + R and j - R with
     the rotation columns (cos a/2, -sin a/2) and (sin a/2, cos a/2).
+
+    A stacked model gives energies (..., 4) and vectors (..., 4, 4), stacked
+    only where b- or j is; a scalar model gives (4,) and (4, 4).
     """
     bp, bm, j = m.b_plus, m.b_minus, m.j
-    r = math.hypot(bm, 2.0 * j)
-    half = 0.5 * math.atan2(2.0 * j, bm)
-    c, s = math.cos(half), math.sin(half)
-    energies = np.array([bp - j, j + r, j - r, -(bp + j)])
-    vectors = np.eye(4)
-    vectors[1:3, 1:3] = [[c, s], [-s, c]]
+    r = np.hypot(bm, 2.0 * j)
+    half = 0.5 * np.arctan2(2.0 * j, bm)
+    c, s = np.cos(half), np.sin(half)
+    energies = np.stack(np.broadcast_arrays(bp - j, j + r, j - r, -(bp + j)), axis=-1)
+    vectors = np.zeros(np.shape(c) + (4, 4))
+    vectors[..., 0, 0] = vectors[..., 3, 3] = 1.0
+    vectors[..., 1, 1] = vectors[..., 2, 2] = c
+    vectors[..., 1, 2], vectors[..., 2, 1] = s, -s
     return energies, vectors
 
 

@@ -76,8 +76,7 @@ def _objective_coefficients(theta, b_plus, j, t, mode):
     objective in ``mode``, for floats or arrays of cells."""
     if mode not in OBJECTIVE_MODES:
         raise ValueError(f"mode must be one of {OBJECTIVE_MODES}, got {mode!r}")
-    b1, b2 = initial_pair(theta)
-    b1p, b2p = evolved_pair_bj(theta, b_plus, j, t)
+    (b1, b2), (b1p, b2p) = evolved_pair_bj(theta, b_plus, j, t)
     if mode == "as-printed":
         a1, b1x, a2, b2x = (_overlaps(x, y) for x, y in
                             ((b1, b1p), (b1, b2p), (b2, b2p), (b2, b1p)))

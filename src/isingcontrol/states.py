@@ -42,8 +42,8 @@ def bell(i: int, j: int) -> np.ndarray:
 def check_angle(theta) -> None:
     """Raise unless theta lies in [0, pi/2] (every entry, for an array; nan
     fails)."""
-    require((0.0 <= theta) & (theta <= math.pi / 2), theta,
-            "theta must lie in [0, pi/2], got {}")
+    require((0.0 <= theta) & (theta <= math.pi / 2), "theta must lie in [0, pi/2], got {}",
+            theta)
 
 
 def initial_pair(theta) -> tuple[np.ndarray, np.ndarray]:
@@ -158,7 +158,7 @@ def _schmidt(theta, j, t) -> SchmidtResult:
     b_term = 0.5 * a0 / (1.0 + z_mag) + z_mag * np.square(np.sin(0.5 * mismatch))
     arg = a_term + b_term * np.square(np.sin(2.0 * theta))
     inside = ((-SCHMIDT_CLAMP_TOL <= arg) & (arg <= 1.0 + SCHMIDT_CLAMP_TOL)) | np.isnan(arg)
-    require(inside, arg, "sqrt argument {} outside [0, 1] beyond tolerance; closed form violated")
+    require(inside, "sqrt argument {} outside [0, 1] beyond tolerance; closed form violated", arg)
     root = np.sqrt(np.minimum(np.maximum(arg, 0.0), 1.0))
     return SchmidtResult(
         lambda1=0.5 * (1.0 + root),
@@ -186,16 +186,16 @@ def _witness(i: int, j: int) -> np.ndarray:
     return w
 
 
-def evolved_pair_bj(theta, b_plus, j, t) -> tuple[np.ndarray, np.ndarray]:
-    """Both preparations after distortion time t (rescaled units), under the
-    params of :func:`evolution.params_from_bj`, propagated by the five
-    propagator entries.
+def evolved_pair_bj(theta, b_plus, j, t) -> tuple[tuple, tuple]:
+    """((beta1, beta2), (beta1', beta2')): the pair at theta and both states
+    after distortion time t (rescaled units) under the params of
+    :func:`evolution.params_from_bj`, propagated by the five entries.
 
     Floats or arrays of cells that broadcast against each other give stacked
     (..., 4) states.  Raises if any theta or j is out of range (theta is
     checked first); a non-finite b+ or t gives nan entries.
     """
-    beta1, beta2 = initial_pair(theta)
+    pair = initial_pair(theta)
     check_coupling(j)
     entries = propagator_entries(b_plus, b_minus_magnitude(j), j, t)
-    return propagate(entries, beta1), propagate(entries, beta2)
+    return pair, tuple(propagate(entries, beta) for beta in pair)

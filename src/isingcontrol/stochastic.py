@@ -10,7 +10,7 @@ element picks up exp(-i w t0 - w^2 s^2 / 2) with w = E_k - E_l.
 :func:`dephase` evaluates that analytically in the closed-form eigensystem
 of :func:`evolution.spectrum`, as matrices; :func:`quadrature_oracle`
 recomputes it by Gauss-Hermite quadrature as an independent check.  Both
-take stacks, so ``verify`` runs them once per theta row or (theta, b+).
+take stacks, so ``verify`` runs them once per theta row.
 
 The integration range is the whole real line, which physically presumes
 t0/s >> 1; ``GaussianTime`` accepts any ratio but flags models below
@@ -70,8 +70,8 @@ class GaussianTime:
     s: float
 
     def __post_init__(self):
-        require(self.t0 > 0, self.t0, "mean duration must be positive, got {}")
-        require(self.s >= 0, self.s, "spread must be >= 0, got {}")
+        require(self.t0 > 0, "mean duration must be positive, got {}", self.t0)
+        require(self.s >= 0, "spread must be >= 0, got {}", self.s)
 
     @property
     def ratio(self) -> float:
@@ -106,9 +106,10 @@ def dephase(rho: np.ndarray, eigensystem: tuple, t0, s) -> np.ndarray:
 def gaussian_mixed_state(rho: np.ndarray, p: IsingParams, g: GaussianTime) -> np.ndarray:
     """Mixed state after a Gaussian-duration distortion (rescaled time units).
 
-    The mean and spread of ``g`` may be arrays that broadcast against each
-    other and against the stack of rho; the result is the (..., 4, 4) stack
-    of the mixed states, each equal to its point-by-point call bit for bit.
+    Stacked params and the mean and spread of ``g`` may be arrays that
+    broadcast against each other and against the stack of rho; the result
+    is the (..., 4, 4) stack of the mixed states, each equal to its
+    point-by-point call bit for bit.
     """
     t0, s = (np.asarray(v)[..., None, None] for v in np.broadcast_arrays(g.t0, g.s))
     return dephase(rho, spectrum(p), t0, s)
@@ -175,10 +176,9 @@ def witness_table(theta, p: IsingParams, g: GaussianTime) -> dict:
                   W01 -> 1 - sin^2(th) ((1 + 4j^2) + (1 - 4j^2) E1)
                   W11 -> 1 - (1 - 4j^2) sin^2(th) (1 - E1)
 
-    theta and the spread of ``g`` may be arrays that broadcast against each
-    other; each entry then has the shape of those it depends on.  Squares
-    are ``np.square``, so floats round as arrays do and a huge b+ s damps
-    to 0 instead of overflowing.
+    Every argument may be an array of cells; each entry has the shape of
+    those it depends on.  Squares are ``np.square``, so floats round as
+    arrays do and a huge b+ s damps to 0 instead of overflowing.
     """
     ep = np.exp(-2.0 * np.square(p.b_plus * g.s)) * np.cos(2.0 * p.b_plus * g.t0)
     e1 = np.exp(-2.0 * np.square(g.s)) * np.cos(2.0 * g.t0)
@@ -197,13 +197,13 @@ def witness_table(theta, p: IsingParams, g: GaussianTime) -> dict:
     }
 
 
-def witness_table_numeric(theta: float, p: IsingParams, g: GaussianTime) -> dict:
+def witness_table_numeric(theta, p: IsingParams, g: GaussianTime) -> dict:
     """Same table computed through the mixing pipeline (oracle side).
 
-    The mean and spread of ``g`` may be arrays that broadcast against each
-    other: every entry is then an array of their shape, from one stacked
-    :func:`gaussian_mixed_state` per preparation, and equals its
-    point-by-point call bit for bit.
+    Stacked params and the mean and spread of ``g`` may be arrays that
+    broadcast against each other: every entry is then an array of their
+    shape, from one stacked :func:`gaussian_mixed_state` per preparation,
+    and equals its point-by-point call bit for bit.
     """
     mixed = {state: gaussian_mixed_state(projector(beta), p, g)
              for state, beta in enumerate(initial_pair(theta), start=1)}
@@ -211,12 +211,11 @@ def witness_table_numeric(theta: float, p: IsingParams, g: GaussianTime) -> dict
             for state, rho in mixed.items() for i in (0, 1) for j in (0, 1)}
 
 
-def _mixed_fidelity(theta, model: IsingParams | PhysicalFields, t0: float, s,
+def _mixed_fidelity(theta, model: IsingParams | PhysicalFields, t0, s,
                     u: np.ndarray | None = None):
     """No-measurement average fidelity (Tr rho1 rho1'' + Tr rho2 rho2'')/2 of
     the pair at theta, dephased in the model's eigenbasis and then corrected
-    by u, for floats or arrays of theta and s that broadcast against each
-    other.
+    by u; every input may be an array of cells (u a stack (..., 4, 4)).
 
     No density is built.  With V the model's real eigenvectors, a = V^T beta
     and c = V^T u^dag beta, the trace for rho = |beta><beta| is the
@@ -230,36 +229,52 @@ def _mixed_fidelity(theta, model: IsingParams | PhysicalFields, t0: float, s,
     step is entry by entry, so a stack equals its point-by-point calls bit
     for bit.
 
-    theta is checked for the whole stack at once, so a failed check marks
-    its entries in the stack's shape.  The form then runs PAIR_BLOCK cells
-    at a time, which bounds its temporaries for any size of stack.
+    The form runs PAIR_BLOCK cells at a time, which bounds its temporaries
+    for any size of stack: an input with one entry per cell is sliced per
+    block, and one shared by all cells (a scalar model, say) is used whole.
     """
     energies, vectors = spectrum(model)
-    rotation = vectors if u is None else np.conj(u) @ vectors    # c = beta @ rotation
-    theta, s = np.broadcast_arrays(theta, s)
     check_angle(theta)
-    out = np.empty(theta.shape)
-    flat_theta, flat_s, flat_out = theta.reshape(-1), s.reshape(-1), out.reshape(-1)
+    rotation = vectors if u is None else u
+    inputs = ((theta, 0), (t0, 0), (s, 0), (energies, 1), (vectors, 2), (rotation, 2))
+    shape = np.broadcast_shapes(*(np.shape(x)[:np.ndim(x) - core] for x, core in inputs))
+    out = np.empty(shape)
+    flat_out = out.reshape(-1)
+    inputs = [(_per_cell(x, shape, core), core) for x, core in inputs]
     for start in range(0, out.size, PAIR_BLOCK):
         block = slice(start, start + PAIR_BLOCK)
+        th, w0, ws, e, v, r = (x[block] if x.ndim > core else x for x, core in inputs)
+        if u is not None:
+            r = np.conj(r) @ v          # c = beta @ rotation
         total = 0.0
-        for beta in initial_pair(flat_theta[block]):
-            total = total + _pure_term(beta.real, energies, vectors, rotation, t0,
-                                       flat_s[block])
+        for beta in initial_pair(th):
+            total = total + _pure_term(beta.real, e, v, r, w0, ws)
         flat_out[block] = 0.5 * total
     return out[()]
 
 
+def _per_cell(x, shape, core: int) -> np.ndarray:
+    """x with one row per cell of ``shape`` if it has axes beyond its
+    ``core`` ones, else x itself."""
+    x = np.asarray(x)
+    if x.ndim == core:
+        return x
+    core_shape = x.shape[x.ndim - core:]
+    return np.broadcast_to(x, shape + core_shape).reshape((-1,) + core_shape)
+
+
 def _pure_term(beta, energies, vectors, rotation, t0, s):
     """Tr(rho u D(rho) u^dag) for real states beta (..., 4) by the form of
-    :func:`_mixed_fidelity`; s broadcasts against the states' stack."""
+    :func:`_mixed_fidelity`; the other inputs broadcast against the states'
+    stack, the energies (..., 4) and the vectors and rotation (..., 4, 4)."""
     # beta @ r summed in a fixed order, so that a stack rounds as its points do
-    a, c = (sum(beta[..., m, None] * r[m] for m in range(4)) for r in (vectors, rotation))
+    a, c = (sum(beta[..., m, None] * r[..., m, :] for m in range(4))
+            for r in (vectors, rotation))
     z = np.conj(c) * a
     x, y = z.real, z.imag
     total = np.sum(x * x + y * y, axis=-1)
     for k, l in itertools.combinations(range(4), 2):
-        w = energies[k] - energies[l]
+        w = energies[..., k] - energies[..., l]
         re = x[..., k] * x[..., l] + y[..., k] * y[..., l]
         im = y[..., k] * x[..., l] - x[..., k] * y[..., l]
         phased = np.cos(w * t0) * re + np.sin(w * t0) * im
@@ -267,12 +282,12 @@ def _pure_term(beta, energies, vectors, rotation, t0, s):
     return total
 
 
-def f_n_mix_pipeline(theta, b_plus: float, j: float, t0: float, s):
+def f_n_mix_pipeline(theta, b_plus, j, t0, s):
     g = GaussianTime(t0, s)
     return _mixed_fidelity(theta, params_from_bj(b_plus, j), g.t0, g.s)
 
 
-def f_n_mix(theta, b_plus: float, j: float, t0: float, s):
+def f_n_mix(theta, b_plus, j, t0, s):
     """Do-nothing fidelity for the Gaussian-mixed pair, closed form:
 
         F = 1/4 [ (1 + e^{-2 b+^2 s^2} cos 2 b+ t0)(1 + cos^4 th)
@@ -284,8 +299,8 @@ def f_n_mix(theta, b_plus: float, j: float, t0: float, s):
     prefactor pairing with +2j in the frequency).  Cross-checked against
     the mixing pipeline on every call; where they disagree by more than
     FNMIX_CROSSCHECK_TOL the pipeline value is returned, with one
-    FormulaDeviationWarning per such cell.  theta and s may be arrays that
-    broadcast against each other.
+    FormulaDeviationWarning per such cell.  Every argument may be an array
+    of cells.
     """
     closed = f_n_mix_closed(theta, b_plus, j, t0, s)
     pipeline = f_n_mix_pipeline(theta, b_plus, j, t0, s)
@@ -322,25 +337,24 @@ def f_n_mix_closed(theta, b_plus, j, t0, s):
     )
 
 
-def f1(theta, p: IsingParams, t0: float, s, n: int, m: int):
+def f1(theta, p: IsingParams, t0, s, n, m):
     """Quasi-loop repreparation fidelity on the mixed pair (pipeline).
 
     The correction field and duration come from the plan at t = t0; the
-    mixing itself runs over the uncertain duration.  theta and s may be
-    arrays that broadcast against each other; the plan is solved once.
+    mixing itself runs over the uncertain duration.  Every argument may be
+    an array of cells, with stacked params.
     """
     u = plan_situation1(t0, p, n, m).correction()
     g = GaussianTime(t0, s)
     return _mixed_fidelity(theta, p, g.t0, g.s, u)
 
 
-def f2(theta, fields: PhysicalFields, t0: float, s,
-       duration: float, n: int, m: int):
+def f2(theta, fields: PhysicalFields, t0, s, duration, n, m):
     """Local-field repreparation fidelity on the mixed pair (pipeline).
 
     Mixing and planning both use physical units here; the plan is solved at
-    t = t0 and applied to the Gaussian-mixed states.  theta and s may be
-    arrays that broadcast against each other; the plan is solved once.
+    t = t0 and applied to the Gaussian-mixed states.  Every argument may be
+    an array of cells, with stacked fields.
     """
     u = plan_situation2(t0, fields, duration, n, m).correction()
     g = GaussianTime(t0, s)

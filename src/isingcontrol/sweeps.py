@@ -2,19 +2,13 @@
 
 A sweep evaluates one scheme over a two-axis grid with the remaining
 parameters fixed, and serializes ``axis1,axis2,value`` rows in row-major
-order with 12 significant digits.  Cell failures become ``nan`` cells and
-are reported, never raised mid-sweep; a non-finite value is a failure too.
-
-Every scheme's function takes stacks of cells (``SchemeDef.grid`` names the
-parameters that may be stacked), so a sweep is first evaluated on stacks:
-the cells are grouped by the values of the parameters that are not
-stacked, and the scheme's own ``SchemeDef.fn`` runs once per group.  The
-range rules live only in the scheme functions' own checks: a failed check
-raises :class:`evolution.OutOfRange`, which marks the failing entries, and
-``fn`` runs again on the rest of the group.  Then every cell whose value is
-not finite (those a check marked, say) is re-run on its own through the
-same ``fn``, which gives each failed cell its own message.  Both passes run
-with numpy's floating-point warnings off.
+order with 12 significant digits.  Every scheme's function takes each
+parameter as a float or as an array with one entry per cell, so a grid is
+one call.  The range rules live only in the scheme functions' own checks:
+a failed check raises :class:`evolution.OutOfRange`, whose mask and message
+template name each failing cell, and the call runs again on the others.
+Failed cells are ``nan`` and reported, never raised; a non-finite value is a
+failure too.  Numpy's floating-point warnings are off throughout.
 """
 from __future__ import annotations
 
@@ -32,6 +26,7 @@ from .evolution import (
     b_minus_magnitude,
     check_coupling,
     params_from_bj,
+    require,
 )
 from .optimize import OBJECTIVE_MODES, fdr2_value
 from .states import schmidt_closed_form
@@ -104,34 +99,43 @@ class SweepSpec:
                              f"or neither, got only {indices.pop()}")
 
 
-def fields_from_bj(b_plus: float, j: float) -> PhysicalFields:
-    """Physical fields with unit scale for given (b+, j); b- taken positive.
-    Raises for j outside [0, 1/2], where the scale would not be 1."""
+def fields_from_bj(b_plus, j) -> PhysicalFields:
+    """Physical fields with unit scale for (b+, j), floats or arrays; b- taken
+    positive.  Raises for j outside [0, 1/2], where the scale would not be 1."""
     check_coupling(j)
-    b_minus = float(b_minus_magnitude(j))
+    b_minus = b_minus_magnitude(j)
     return PhysicalFields(b1=(b_plus + b_minus) / 2.0, b2=(b_plus - b_minus) / 2.0, j=j)
 
 
-def default_situation1_indices(t0: float, p: IsingParams) -> tuple[int, int]:
-    """Smallest n with positive loop time, m minimizing |delta_b+|."""
-    n = max(1, math.floor(t0 / math.pi) + 1)
-    m = round(n * (p.b_plus - 2.0 * p.j + 1.0) / 2.0)
-    return n, int(m)
+def default_situation1_indices(t0, p: IsingParams) -> tuple:
+    """Smallest n with positive loop time and m minimizing |delta_b+|, as floats."""
+    n = np.maximum(1.0, np.floor(_whole(t0 / math.pi)) + 1.0)
+    m = np.round(_whole(n * (p.b_plus - 2.0 * p.j + 1.0) / 2.0)) + 0.0
+    return n, m
 
 
-def default_situation2_indices(t0: float, fields: PhysicalFields) -> tuple[int, int]:
+def default_situation2_indices(t0, fields: PhysicalFields) -> tuple:
     """(n, m) minimizing the magnitudes of the correcting field products."""
     phi, phi_prime = situation2_phases(fields.b_minus, fields.j, fields.scale, t0)
-    n = round(fields.b_plus * t0 / math.pi)
-    m = round(((phi + phi_prime) / 2.0) / math.pi) - n
-    return int(n), int(m)
+    n = np.round(_whole(fields.b_plus * t0 / math.pi)) + 0.0
+    m = np.round(_whole(((phi + phi_prime) / 2.0) / math.pi)) - n
+    return n, m
 
 
-def _as_int(params: dict, key: str) -> int:
+def _whole(x):
+    """x, checked to be finite as Python's int() of a float checks it."""
+    require(np.logical_not(np.isnan(x)), "cannot convert float NaN to integer")
+    require(np.logical_not(np.isinf(x)), "cannot convert float infinity to integer")
+    return x
+
+
+def _as_int(params: dict, key: str):
+    """The parameter ``key`` as a whole float, within 1e-9 of an integer."""
     v = params[key]
-    if abs(v - round(v)) > 1e-9:
-        raise ValueError(f"parameter {key!r} must be an integer, got {v}")
-    return int(round(v))
+    rounded = np.round(_whole(v)) + 0.0
+    require(np.logical_not(abs(v - rounded) > 1e-9),
+            f"parameter {key!r} must be an integer, got {{}}", v)
+    return rounded
 
 
 def _eval_dr1(params, mode):
@@ -181,11 +185,13 @@ def _eval_f2(params, mode):
 def _eval_witness(params, mode):
     p = params_from_bj(params["b_plus"], params["j"])
     g = GaussianTime(params["t0"], params["s"])
-    key = (_as_int(params, "state"), _as_int(params, "wi"), _as_int(params, "wj"))
-    table = witness_table(params["theta"], p, g)
-    if key not in table:
-        raise ValueError(f"no witness entry for state={key[0]}, i={key[1]}, j={key[2]}")
-    return table[key]
+    key = [_as_int(params, k) for k in ("state", "wi", "wj")]
+    value, known = math.nan, False
+    for entry_key, entry in witness_table(params["theta"], p, g).items():
+        hit = (key[0] == entry_key[0]) & (key[1] == entry_key[1]) & (key[2] == entry_key[2])
+        value, known = np.where(hit, entry, value), known | hit
+    require(known, "no witness entry for state={:.0f}, i={:.0f}, j={:.0f}", *key)
+    return value
 
 
 def _eval_schmidt(params, mode):
@@ -200,75 +206,70 @@ def _eval_f_curve(params, mode):
     return phi - phi_prime - 4.0 * j * t
 
 
-def _on_stacks(scheme, params, mode) -> np.ndarray:
-    """Values of every cell of ``params`` (floats, or arrays with one entry
-    per cell) from the scheme's own ``fn``, run on stacks of cells.
+def _on_stacks(fn, params: dict, mode: str) -> tuple[np.ndarray, dict]:
+    """Values of every cell of ``params`` (floats shared by all cells, or
+    arrays with one entry per cell) from one call of ``fn`` on the whole
+    grid, and the error text of each failed cell by cell index.
 
-    The cells are grouped by the values of their parameters outside
-    ``scheme.grid``, and ``fn`` runs once per group with the grid
-    parameters as arrays of the group's cells, so a scheme that stacks
-    every parameter takes one call per grid.  When a call raises
-    ``OutOfRange`` whose ``failed`` mask has the group's shape and marks
-    some cells, those cells are dropped and ``fn`` runs again on the rest.
-    Any other mask, or any other exception, leaves the rest of the group
-    ``nan``; so do the dropped cells.  The per-cell path reports them all.
+    An ``OutOfRange`` whose mask marks some of the remaining cells gives
+    each of them the message of its own entry, and ``fn`` runs again on the
+    rest: a cell dropped at a check passed every check before it, so its
+    message is the one a call on that cell alone gives.  Any other
+    exception fails every remaining cell with its text, and a value that is
+    not finite fails its cell as ``non-finite value <v>``.
     """
-    shape = np.broadcast_shapes(*(np.shape(v) for v in params.values()))
-    # a group's values have the per-cell path's types: numpy scalars from an
-    # axis, fixed values as given (numpy and Python floats overflow and
-    # divide by zero differently)
-    fixed = {k: v for k, v in params.items() if k not in scheme.grid and not np.ndim(v)}
-    axes = [k for k, v in params.items() if k not in scheme.grid and np.ndim(v)]
-    out = np.full(shape, math.nan)
-    groups = {}
-    if axes:
-        for cell, row in enumerate(zip(*(params[k] for k in axes))):
-            groups.setdefault(row, []).append(cell)
-    else:
-        groups[()] = np.arange(out.size)
-    for row, group in groups.items():
-        group = np.asarray(group)
-        while group.size:
-            stacks = {k: params[k][group] if np.ndim(params[k]) else params[k]
-                      for k in scheme.grid}
+    size = np.broadcast_shapes(*(np.shape(v) for v in params.values()))[0]
+    values = np.full(size, math.nan)
+    errors = {}
+    cells = np.arange(size)
+    while cells.size:
+        stacks = {k: v[cells] if np.ndim(v) else v for k, v in params.items()}
+        try:
+            values[cells] = fn(stacks, mode)
+            break
+        except Exception as exc:  # noqa: BLE001 - cell isolation is the contract
+            mask = exc.failed if isinstance(exc, OutOfRange) else False
             try:
-                out[group] = scheme.fn({**fixed, **dict(zip(axes, row)), **stacks}, mode)
+                failed = np.broadcast_to(mask, cells.shape)
+            except ValueError:          # a mask of another shape
+                failed = np.zeros(cells.shape, dtype=bool)
+            if not failed.any():
+                errors.update(dict.fromkeys(cells.tolist(), str(exc)))
                 break
-            except OutOfRange as exc:
-                if np.shape(exc.failed) != group.shape or not exc.failed.any():
-                    break
-                group = group[~exc.failed]
-            except Exception:  # noqa: BLE001 - the per-cell path reports these cells
-                break
-    return out
+            entries = (np.broadcast_to(v, cells.shape)[failed].tolist() for v in exc.values)
+            errors.update(zip(cells[failed].tolist(), map(exc.template.format, *entries))
+                          if exc.values else dict.fromkeys(cells[failed].tolist(), str(exc)))
+            cells = cells[~failed]
+    for k in np.flatnonzero(~np.isfinite(values)).tolist():
+        if k not in errors:
+            errors[k] = f"non-finite value {values[k]}"
+            values[k] = math.nan
+    return values, errors
 
 
 @dataclass(frozen=True)
 class SchemeDef:
     params: tuple
     defaults: dict
-    fn: object                  # fn(params, mode) -> value
-    grid: tuple                 # params fn takes as arrays of cells
+    fn: object                  # fn(params, mode) -> value; floats or arrays of cells
 
 
 PURE = ("theta", "b_plus", "j", "t")
 MIXED = ("theta", "b_plus", "j", "t0", "s")
-MIXED_STACKS = ("theta", "s")   # the plan depends on the other parameters
 
 SCHEMES = {
-    "dr1": SchemeDef(("theta",), {}, _eval_dr1, ("theta",)),
-    "n": SchemeDef(PURE, {}, _eval_n, PURE),
-    "ab": SchemeDef(PURE, {}, _eval_ab, PURE),
-    "so": SchemeDef(PURE, {}, _eval_so, PURE),
-    "dr2": SchemeDef(PURE, {}, _eval_dr2, PURE),
-    "n-mix": SchemeDef(MIXED, {}, _eval_n_mix, MIXED_STACKS),
-    "f1": SchemeDef(MIXED + ("n", "m"), {"n": None, "m": None}, _eval_f1, MIXED_STACKS),
-    "f2": SchemeDef(MIXED + ("T", "n", "m"), {"T": 1.0, "n": None, "m": None},
-                    _eval_f2, MIXED_STACKS),
-    "witness": SchemeDef(MIXED + ("state", "wi", "wj"),
-                         {"state": 1, "wi": 0, "wj": 0}, _eval_witness, MIXED_STACKS),
-    "schmidt": SchemeDef(("theta", "j", "t"), {}, _eval_schmidt, ("theta", "j", "t")),
-    "f-curve": SchemeDef(("ratio", "t"), {}, _eval_f_curve, ("ratio", "t")),
+    "dr1": SchemeDef(("theta",), {}, _eval_dr1),
+    "n": SchemeDef(PURE, {}, _eval_n),
+    "ab": SchemeDef(PURE, {}, _eval_ab),
+    "so": SchemeDef(PURE, {}, _eval_so),
+    "dr2": SchemeDef(PURE, {}, _eval_dr2),
+    "n-mix": SchemeDef(MIXED, {}, _eval_n_mix),
+    "f1": SchemeDef(MIXED + ("n", "m"), {"n": None, "m": None}, _eval_f1),
+    "f2": SchemeDef(MIXED + ("T", "n", "m"), {"T": 1.0, "n": None, "m": None}, _eval_f2),
+    "witness": SchemeDef(MIXED + ("state", "wi", "wj"), {"state": 1, "wi": 0, "wj": 0},
+                         _eval_witness),
+    "schmidt": SchemeDef(("theta", "j", "t"), {}, _eval_schmidt),
+    "f-curve": SchemeDef(("ratio", "t"), {}, _eval_f_curve),
 }
 
 
@@ -286,31 +287,15 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     a1 = spec.axis1.values()
     a2 = spec.axis2.values()
     names = (spec.axis1.name, spec.axis2.name)
-
-    def with_axes(v1, v2):
-        params = {**base, names[0]: v1, names[1]: v2}
-        params.pop("dummy", None)
-        return params
-
-    def evaluate(v1, v2):
-        try:
-            value = float(scheme.fn(with_axes(v1, v2), spec.mode))
-        except Exception as exc:  # noqa: BLE001 - cell isolation is the contract
-            error = exc
-        else:
-            if math.isfinite(value):
-                return value, None
-            error = f"non-finite value {value}"
-        return math.nan, f"{names[0]}={v1:.6g}, {names[1]}={v2:.6g}: {error}"
-
     with np.errstate(all="ignore"):
         g1, g2 = (g.ravel() for g in np.meshgrid(a1, a2, indexing="ij"))
-        values = _on_stacks(scheme, with_axes(g1, g2), spec.mode)
-        redo = np.flatnonzero(~np.isfinite(values))
-        outcomes = [evaluate(g1[k], g2[k]) for k in redo]
-    values[redo] = [v for v, _ in outcomes]
-
-    failures = tuple(msg for _, msg in outcomes if msg is not None)
+        params = {**base, names[0]: g1, names[1]: g2}
+        params.pop("dummy", None)
+        values, errors = _on_stacks(scheme.fn, params, spec.mode)
+    first = [f"{names[0]}={v:.6g}, " for v in a1.tolist()]
+    second = [f"{names[1]}={v:.6g}: " for v in a2.tolist()]
+    failures = tuple(first[k // a2.size] + second[k % a2.size] + errors[k]
+                     for k in sorted(errors))
     return SweepResult(csv_text=_csv_text(a1, a2, values),
                        values=values.reshape(len(a1), len(a2)), failures=failures)
 

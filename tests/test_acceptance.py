@@ -98,7 +98,7 @@ def test_criterion_03a_trace_distance_preserved():
     for theta, t, j, b_plus in _distance_grid():
         b1, b2 = ic.initial_pair(theta)
         before = ic.trace_distance(projector(b1), projector(b2))
-        b1p, b2p = evolved_pair_bj(theta, b_plus, j, t)
+        _, (b1p, b2p) = evolved_pair_bj(theta, b_plus, j, t)
         after = ic.trace_distance(projector(b1p), projector(b2p))
         worst = max(worst, abs(after - before))
     report("criterion 3a (distortion preserves trace distance)", worst < 1e-12,
@@ -117,7 +117,7 @@ def test_criterion_03b_trace_distance_value():
     worst = 0.0
     worst_diag = 0.0
     for theta, t, j, b_plus in _distance_grid():
-        b1p, b2p = evolved_pair_bj(theta, b_plus, j, t)
+        _, (b1p, b2p) = evolved_pair_bj(theta, b_plus, j, t)
         target = math.sin(theta) ** 2
         dist = ic.trace_distance(projector(b1p), projector(b2p))
         worst = max(worst, abs(dist - target))

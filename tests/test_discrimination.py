@@ -105,7 +105,7 @@ class TestHelstrom:
     def test_distorted_second_probability_invariant(self):
         # the middle-sector weight sin^2 theta survives any distortion time
         for t in (0.4, 1.7, 5.0):
-            b1p, b2p = evolved_pair_bj(0.8, 1.3, 0.2, t)
+            _, (b1p, b2p) = evolved_pair_bj(0.8, 1.3, 0.2, t)
             _, p2 = helstrom(b1p, b2p, computational_povm())
             assert p2 == pytest.approx(math.sin(0.8) ** 2, abs=1e-12)
 
@@ -118,7 +118,7 @@ class TestHelstrom:
     def test_density_route_matches_pure_route(self):
         # the mixed version uses unsquared expectation sums, so pure
         # projectors must reproduce the amplitude route exactly
-        b1p, b2p = evolved_pair_bj(0.7, 1.0, 1 / 6, math.pi / 2)
+        _, (b1p, b2p) = evolved_pair_bj(0.7, 1.0, 1 / 6, math.pi / 2)
         povm = table1_povm(0.7, "A")
         pure = helstrom(b1p, b2p, povm)
         dens = helstrom(projector(b1p), projector(b2p), povm)
@@ -140,7 +140,7 @@ class TestAverageFidelity:
     def test_termwise_expansion(self):
         theta = 0.9
         originals = initial_pair(theta)
-        distorted = evolved_pair_bj(theta, 1.1, 0.2, 0.8)
+        _, distorted = evolved_pair_bj(theta, 1.1, 0.2, 0.8)
         povm = LocalPovm(0.5, 1.3, 0.2, 4.0)
         res = average_fidelity(originals, distorted, distorted, povm)
         p1, p2 = helstrom(*distorted, povm)
@@ -156,7 +156,7 @@ class TestAverageFidelity:
         for _ in range(50):
             theta = rng.uniform(0, math.pi / 2)
             originals = initial_pair(theta)
-            distorted = evolved_pair_bj(theta, rng.uniform(0, 5), rng.uniform(0, 0.5),
+            _, distorted = evolved_pair_bj(theta, rng.uniform(0, 5), rng.uniform(0, 0.5),
                                         rng.uniform(0, 6))
             povm = LocalPovm(*rng.uniform(0, math.pi, 2), *rng.uniform(0, 2 * math.pi, 2))
             res = average_fidelity(originals, distorted, distorted, povm)
@@ -245,7 +245,7 @@ class TestClosedFormSchemes:
     def test_f_ab_variant_b_equivalent(self):
         theta, b_plus, j, t = 0.7, 1.3, 0.2, 1.1
         originals = initial_pair(theta)
-        distorted = evolved_pair_bj(theta, b_plus, j, t)
+        _, distorted = evolved_pair_bj(theta, b_plus, j, t)
         fa = average_fidelity(originals, distorted, originals,
                               table1_povm(theta, "A")).avg_fidelity
         fb = average_fidelity(originals, distorted, originals,
@@ -272,7 +272,7 @@ class TestClosedFormSchemes:
         for theta in (0.3, 1.0):
             assert f_n(theta, 0.0, 0.5, 2.3) == pytest.approx(1.0, abs=1e-12)
             originals = initial_pair(theta)
-            distorted = evolved_pair_bj(theta, 0.0, 0.5, 2.3)
+            _, distorted = evolved_pair_bj(theta, 0.0, 0.5, 2.3)
             for variant in ("A", "B"):
                 res = average_fidelity(originals, distorted, originals,
                                        table1_povm(theta, variant))

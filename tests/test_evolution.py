@@ -340,7 +340,7 @@ class TestStackedModels:
 class TestRequire:
     def test_scalar_failure_marks_itself(self):
         with pytest.raises(ValueError) as excinfo:
-            require(0.7 <= 0.5, 0.7, "j must lie in [0, 1/2], got {}")
+            require(0.7 <= 0.5, "j must lie in [0, 1/2], got {}", 0.7)
         assert isinstance(excinfo.value, OutOfRange)
         assert str(excinfo.value) == "j must lie in [0, 1/2], got 0.7"
         assert excinfo.value.failed is True
@@ -348,14 +348,25 @@ class TestRequire:
     def test_stack_failure_marks_exactly_the_failing_entries(self):
         j = np.array([0.1, 0.7, 0.2, math.nan, -0.3])
         with pytest.raises(ValueError) as excinfo:
-            require((0.0 <= j) & (j <= 0.5), j, "j must lie in [0, 1/2], got {}")
+            require((0.0 <= j) & (j <= 0.5), "j must lie in [0, 1/2], got {}", j)
         assert isinstance(excinfo.value, OutOfRange)
         assert str(excinfo.value) == "j must lie in [0, 1/2], got 0.7"
         assert np.array_equal(excinfo.value.failed, [False, True, False, True, True])
 
+    def test_each_entry_has_its_own_message(self):
+        # several values, one of them shared by every entry
+        t = np.array([[1.0, 4.0], [5.0, 0.5]])
+        with pytest.raises(OutOfRange) as excinfo:
+            require(np.logical_not(math.pi - t <= 0.0), "n pi = {:.6f} <= t = {:.6f}",
+                    math.pi, t)
+        exc = excinfo.value
+        assert str(exc) == exc.message(1) == "n pi = 3.141593 <= t = 4.000000"
+        assert [exc.message(k) for k in np.flatnonzero(exc.failed)] == [
+            "n pi = 3.141593 <= t = 4.000000", "n pi = 3.141593 <= t = 5.000000"]
+
     def test_holding_predicate_passes(self):
-        require(np.array([True, True]), np.array([1.0, 2.0]), "never {}")
-        require(True, 1.0, "never {}")
+        require(np.array([True, True]), "never {}", np.array([1.0, 2.0]))
+        require(True, "never {}", 1.0)
 
 
 class TestOracle:

@@ -101,7 +101,7 @@ class TestOptimizeFdr2:
         for mode in ("as-printed", "reprepare-originals"):
             res = optimize_fdr2(theta, b_plus, j, t, mode=mode)
             originals = initial_pair(theta)
-            distorted = evolved_pair_bj(theta, b_plus, j, t)
+            _, distorted = evolved_pair_bj(theta, b_plus, j, t)
             reprepared = distorted if mode == "as-printed" else originals
             for povm in (computational_povm(), table1_povm(theta, "A"), table1_povm(theta, "B")):
                 seed_val = average_fidelity(originals, distorted, reprepared, povm).avg_fidelity
@@ -174,7 +174,7 @@ class TestOptimizeFdr2:
         # at zero field sigma_1 = sigma_2 = 1, so the SVD's top pair is one
         # of many optimal bases; the returned one must still be fixed
         theta, b_plus, j, t = math.pi / 4, 0.0, 0.5, 1.0
-        b1p, b2p = evolved_pair_bj(theta, b_plus, j, t)
+        _, (b1p, b2p) = evolved_pair_bj(theta, b_plus, j, t)
         a = _correlations(b1p) - _correlations(b2p)
         s = np.linalg.svd(a, compute_uv=False)
         assert s[0] - s[1] < 1e-12

@@ -116,7 +116,7 @@ class TestEvolvedPair:
     def test_stack_equals_the_matrix_route(self, cells):
         # reference: the 4x4 closed-form propagator times each state
         theta, b_plus, j, t = (np.array(column) for column in zip(*cells))
-        stacked = evolved_pair_bj(theta, b_plus, j, t)
+        _, stacked = evolved_pair_bj(theta, b_plus, j, t)
         for k, (theta_k, b_plus_k, j_k, t_k) in enumerate(cells):
             u = evolution_closed_form(params_from_bj(b_plus_k, j_k), t_k)
             for beta, distorted in zip(initial_pair(theta_k), stacked):
@@ -152,7 +152,7 @@ class TestTraceDistance:
     def test_diagonal_distance_preserved_by_distortion(self):
         for theta in (0.2, 0.8, 1.4):
             for t in (0.7, 2.3):
-                b1p, b2p = evolved_pair_bj(theta, 1.3, 0.2, t)
+                _, (b1p, b2p) = evolved_pair_bj(theta, 1.3, 0.2, t)
                 diag = diagonal_trace_distance(projector(b1p), projector(b2p))
                 assert diag == pytest.approx(math.sin(theta) ** 2, abs=1e-12)
 

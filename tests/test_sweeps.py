@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from isingcontrol import sweeps
+from isingcontrol import cli, sweeps
 from isingcontrol.discrimination import f_dr1
 from isingcontrol.evolution import OutOfRange, params_from_bj
 from isingcontrol.optimize import OBJECTIVE_MODES
@@ -317,63 +317,97 @@ def grid_specs(draw):
                      mode=draw(st.sampled_from(OBJECTIVE_MODES)))
 
 
-def all_nan(scheme, params, mode):
-    return np.full(np.broadcast_shapes(*(np.shape(v) for v in params.values())), math.nan)
-
-
-def sweep_matching_cells(spec, stacked_fn=None):
-    """The sweep, checked to equal its all-per-cell reference, and the
-    number of cells that the per-cell path re-ran.  ``stacked_fn`` replaces
-    the scheme's function in the stacked pass only."""
+def per_cell(spec):
+    """The reference sweep: one scalar call of the scheme's ``fn`` per cell,
+    each failed cell's message formatted as the sweep formats it.  Returns
+    the (steps1, steps2) values and the failure messages."""
     scheme = SCHEMES[spec.scheme]
-    on_stacks = sweeps._on_stacks
-    stacked = replace(scheme, fn=stacked_fn) if stacked_fn else scheme
-    fallback = []
+    base = {k: v for k, v in {**scheme.defaults, **spec.fixed}.items() if v is not None}
+    names = (spec.axis1.name, spec.axis2.name)
+    values, failures = [], []
+    with np.errstate(all="ignore"):
+        for v1 in spec.axis1.values():
+            for v2 in spec.axis2.values():
+                params = {**base, names[0]: v1, names[1]: v2}
+                params.pop("dummy", None)
+                try:
+                    value = float(scheme.fn(params, spec.mode))
+                except Exception as exc:  # noqa: BLE001 - every failure is a message
+                    error = exc
+                else:
+                    if math.isfinite(value):
+                        values.append(value)
+                        continue
+                    error = f"non-finite value {value}"
+                values.append(math.nan)
+                failures.append(f"{names[0]}={v1:.6g}, {names[1]}={v2:.6g}: {error}")
+    return np.reshape(values, (spec.axis1.steps, spec.axis2.steps)), tuple(failures)
+
+
+def sweep_matching_cells(spec):
+    """The sweep, checked to equal its per-cell reference, and the number of
+    times it called the scheme's ``fn``."""
+    scheme = SCHEMES[spec.scheme]
+    calls = []
 
     def counted(params, mode):
-        fallback.append(params)
+        calls.append(params)
         return scheme.fn(params, mode)
 
-    # the stacked calls get the uncounted fn, so only the per-cell path counts
-    with mock.patch.dict(SCHEMES, {spec.scheme: replace(scheme, fn=counted)}), \
-            mock.patch.object(sweeps, "_on_stacks",
-                              lambda _, params, mode: on_stacks(stacked, params, mode)):
+    with mock.patch.dict(SCHEMES, {spec.scheme: replace(scheme, fn=counted)}):
         grid = run_sweep(spec)
-    # the reference: no stacked pass, so every cell runs on its own
-    with mock.patch.object(sweeps, "_on_stacks", all_nan):
-        scalar = run_sweep(spec)
-    assert grid.failures == scalar.failures
-    np.testing.assert_allclose(grid.values, scalar.values, rtol=0, atol=1e-13)
-    assert grid.csv_text == scalar.csv_text
-    return grid, len(fallback)
+    values, failures = per_cell(spec)
+    assert grid.failures == failures
+    np.testing.assert_allclose(grid.values, values, rtol=0, atol=1e-13)
+    assert grid.csv_text == sweeps._csv_text(spec.axis1.values(), spec.axis2.values(),
+                                             values.ravel())
+    return grid, len(calls)
 
 
 @settings(max_examples=300, deadline=None)
 @given(grid_specs())
 def test_array_path_matches_scalar_path(spec):
-    grid, reruns = sweep_matching_cells(spec)
-    # the scalar path re-ran exactly the failing cells
-    assert reruns == len(grid.failures)
+    grid, calls = sweep_matching_cells(spec)
+    # one call for the grid, plus one per check that dropped cells
+    assert calls == 1 if not grid.failures else 1 <= calls <= 1 + len(grid.failures)
 
 
 @pytest.mark.parametrize("scheme", ["n-mix", "f1", "f2", "witness"])
 def test_out_of_range_cells_past_the_first_block_leave_the_rest_stacked(scheme):
-    # one stacked group of 400 cells: theta < 0 in the first row, theta > pi/2
+    # one stacked grid of 400 cells: theta < 0 in the first row, theta > pi/2
     # in the last rows (past the first STACK_CELLS block), s < 0 in every row
     spec = SweepSpec(scheme=scheme, axis1=Axis("theta", -0.1, 1.7, 20),
                      axis2=Axis("s", -0.01, 0.5, 20),
                      fixed={"b_plus": 1.0, "j": 1 / 6, "t0": 1.5, "state": 2, "wi": 0,
                             "wj": 1} if scheme == "witness" else
                            {"b_plus": 1.0, "j": 1 / 6, "t0": 1.5})
-    grid, reruns = sweep_matching_cells(spec)
-    assert reruns == len(grid.failures)
+    grid, calls = sweep_matching_cells(spec)
+    # the spread check drops its cells, then the angle check its own
+    assert calls == (2 if scheme == "witness" else 3)
     assert 20 <= len(grid.failures) < 400   # witness leaves theta unchecked
+
+
+@pytest.mark.parametrize("scheme, axis1, axis2", [
+    ("n-mix", Axis("b_plus", -3.0, 3.0, 35), Axis("j", -0.02, 0.52, 33)),
+    ("f1", Axis("b_plus", -3.0, 3.0, 35), Axis("j", -0.02, 0.52, 33)),
+    ("f2", Axis("j", -0.02, 0.52, 35), Axis("t0", -0.5, 12.0, 33)),
+    ("witness", Axis("b_plus", -3.0, 3.0, 35), Axis("t0", -0.5, 12.0, 33))])
+def test_stacked_models_past_the_first_pair_block(scheme, axis1, axis2):
+    # 1,155 cells, past the first PAIR_BLOCK, each with its own model and
+    # plan, some out of range
+    fixed = {"theta": 0.7, "s": 0.2, "b_plus": 1.0, "j": 1 / 6, "t0": 1.5}
+    spec = SweepSpec(scheme=scheme, axis1=axis1, axis2=axis2,
+                     fixed={k: v for k, v in fixed.items() if k not in (axis1.name, axis2.name)})
+    grid, calls = sweep_matching_cells(spec)
+    assert 0 < len(grid.failures) < 1155 and calls <= 4
 
 
 @pytest.mark.parametrize("failed", [np.ones(3, dtype=bool), np.ones((200, 1), dtype=bool),
                                     True, np.zeros(200, dtype=bool)],
                          ids=["other-length", "other-shape", "bool", "marks-none"])
 def test_a_mask_that_drops_nothing_ends_the_retries(failed):
+    # a mask that does not mark some of the cells fails every cell with the
+    # exception's message, after one call
     spec = SweepSpec(scheme="so", axis1=Axis("theta", -0.1, 1.6, 10),
                      axis2=Axis("b_plus", 0.0, 5.0, 20), fixed={"j": 1 / 6, "t": 1.0})
     calls = []
@@ -382,20 +416,29 @@ def test_a_mask_that_drops_nothing_ends_the_retries(failed):
         calls.append(params)
         raise OutOfRange("stacked call failed", failed)
 
-    _, reruns = sweep_matching_cells(spec, raises_mask)
-    # one stacked call, then every cell of the group on its own
-    assert len(calls) == 1 and reruns == 200
+    with mock.patch.dict(SCHEMES, {"so": replace(SCHEMES["so"], fn=raises_mask)}):
+        result = run_sweep(spec)
+    assert len(calls) == 1
+    assert np.isnan(result.values).all()
+    assert result.failures == tuple(
+        f"theta={v1:.6g}, b_plus={v2:.6g}: stacked call failed"
+        for v1 in spec.axis1.values() for v2 in spec.axis2.values())
 
 
 def test_array_path_isolates_an_evaluator_that_raises():
+    # any exception other than a usable OutOfRange fails every cell with its
+    # text, and the command exits 3
     spec = figure3_spec(steps=4)
-    so = SCHEMES["so"]
+    calls = []
 
-    def broken_on_stacks(params, mode):
-        if np.ndim(params["theta"]):
-            raise RuntimeError("evaluator bug")
-        return so.fn(params, mode)
+    def broken(params, mode):
+        calls.append(params)
+        raise RuntimeError("evaluator bug")
 
-    with mock.patch.dict(SCHEMES, {"so": replace(so, fn=broken_on_stacks)}):
-        fallback = run_sweep(spec)
-    assert fallback.csv_text == run_sweep(spec).csv_text
+    with mock.patch.dict(SCHEMES, {"so": replace(SCHEMES["so"], fn=broken)}):
+        result = run_sweep(spec)
+        assert cli.main(["figure3", "--steps", "4", "--out", "-"]) == 3
+    assert len(calls) == 2
+    assert np.isnan(result.values).all()
+    assert len(result.failures) == 16
+    assert all(msg.endswith(": evaluator bug") for msg in result.failures)
