@@ -104,12 +104,12 @@ class Situation1Plan:
     delta: float
     t: float
     params: IsingParams
+    corrected: IsingParams
 
     def correction(self) -> np.ndarray:
-        """Propagator of the planned correction: the field raised by
-        delta_b+ for the duration T; (..., 4, 4) for a stack of plans."""
-        corrected = replace(self.params, b_plus=self.params.b_plus + self.delta_b_plus)
-        return evolution_closed_form(corrected, self.duration)
+        """Propagator of the planned correction: ``corrected`` (b+ raised by
+        delta_b+) for the duration T; (..., 4, 4) for a stack of plans."""
+        return evolution_closed_form(self.corrected, self.duration)
 
 
 def plan_situation1(t, p: IsingParams, n, m) -> Situation1Plan:
@@ -120,7 +120,8 @@ def plan_situation1(t, p: IsingParams, n, m) -> Situation1Plan:
         s_num    = round(2 n j)  ->  Q(j) = s_num / (2n), delta = j - Q(j)
 
     Ties in the rounding go half away from zero, keeping |delta| <= 1/(4n).
-    Raises unless T > 0 and n != 0.  Every input may be an array of cells.
+    Raises unless T > 0 and n != 0, or if the raised b+ is not finite.
+    Every input may be an array of cells.
     """
     duration = n * math.pi - t
     require(np.logical_not(duration <= 0.0),
@@ -133,6 +134,7 @@ def plan_situation1(t, p: IsingParams, n, m) -> Situation1Plan:
     return Situation1Plan(
         n=n, m=m, s_num=s_num, duration=duration,
         delta_b_plus=delta_b_plus, delta=delta, t=t, params=p,
+        corrected=replace(p, b_plus=p.b_plus + delta_b_plus),
     )
 
 
@@ -194,8 +196,7 @@ def plan_situation2(t, fields: PhysicalFields, duration, n, m) -> Situation2Plan
     choice, so it is taken as input and the fields are derived from it.
     Raises unless T > 0 and J > 0, if the phase R t overflows, or if a
     derived field is not finite (a product that overflows, or a duration so
-    short that the quotient does).  Every input may be an array of cells,
-    giving a stack of plans whose fields are arrays.
+    short that the quotient does).  Every input may be an array of cells.
     """
     require(np.logical_not(duration <= 0.0), "correction duration must be positive, got {}",
             duration)

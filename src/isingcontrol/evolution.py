@@ -96,9 +96,8 @@ class IsingParams:
 
 class OutOfRange(ValueError):
     """A failed :func:`require`: ``failed`` is True for a scalar predicate,
-    else the boolean mask of the failing entries; the message of entry k is
-    ``template`` formatted with entry k of ``values`` (arrays of the mask's
-    shape, or scalars), and ``str`` is the first failing entry's."""
+    else the mask of the failing entries.  Entry k's message is ``template``
+    formatted with entry k of ``values``; ``str`` is the first one's."""
 
     def __init__(self, template: str, failed, values: tuple = ()):
         self.template, self.failed, self.values = template, failed, values

@@ -10,7 +10,7 @@ element picks up exp(-i w t0 - w^2 s^2 / 2) with w = E_k - E_l.
 :func:`dephase` evaluates that analytically in the closed-form eigensystem
 of :func:`evolution.spectrum`, as matrices; :func:`quadrature_oracle`
 recomputes it by Gauss-Hermite quadrature as an independent check.  Both
-take stacks, so ``verify`` runs them once per theta row.
+take stacks, so ``verify`` runs them once per theta row or (theta, b+).
 
 The integration range is the whole real line, which physically presumes
 t0/s >> 1; ``GaussianTime`` accepts any ratio but flags models below
@@ -28,6 +28,7 @@ every call.
 """
 from __future__ import annotations
 
+import dataclasses
 import functools
 import itertools
 import math
@@ -106,10 +107,9 @@ def dephase(rho: np.ndarray, eigensystem: tuple, t0, s) -> np.ndarray:
 def gaussian_mixed_state(rho: np.ndarray, p: IsingParams, g: GaussianTime) -> np.ndarray:
     """Mixed state after a Gaussian-duration distortion (rescaled time units).
 
-    Stacked params and the mean and spread of ``g`` may be arrays that
-    broadcast against each other and against the stack of rho; the result
-    is the (..., 4, 4) stack of the mixed states, each equal to its
-    point-by-point call bit for bit.
+    Stacked params and the mean and spread of ``g`` broadcast against each
+    other and the stack of rho; the result is the (..., 4, 4) stack of the
+    mixed states, each equal to its point-by-point call bit for bit.
     """
     t0, s = (np.asarray(v)[..., None, None] for v in np.broadcast_arrays(g.t0, g.s))
     return dephase(rho, spectrum(p), t0, s)
@@ -200,10 +200,10 @@ def witness_table(theta, p: IsingParams, g: GaussianTime) -> dict:
 def witness_table_numeric(theta, p: IsingParams, g: GaussianTime) -> dict:
     """Same table computed through the mixing pipeline (oracle side).
 
-    Stacked params and the mean and spread of ``g`` may be arrays that
-    broadcast against each other: every entry is then an array of their
-    shape, from one stacked :func:`gaussian_mixed_state` per preparation,
-    and equals its point-by-point call bit for bit.
+    Stacked params and the mean and spread of ``g`` broadcast against each
+    other: every entry is then an array of their shape, from one stacked
+    :func:`gaussian_mixed_state` per preparation, and equals its
+    point-by-point call bit for bit.
     """
     mixed = {state: gaussian_mixed_state(projector(beta), p, g)
              for state, beta in enumerate(initial_pair(theta), start=1)}
@@ -211,11 +211,10 @@ def witness_table_numeric(theta, p: IsingParams, g: GaussianTime) -> dict:
             for state, rho in mixed.items() for i in (0, 1) for j in (0, 1)}
 
 
-def _mixed_fidelity(theta, model: IsingParams | PhysicalFields, t0, s,
-                    u: np.ndarray | None = None):
+def _mixed_fidelity(theta, model: IsingParams | PhysicalFields, t0, s, plan=None):
     """No-measurement average fidelity (Tr rho1 rho1'' + Tr rho2 rho2'')/2 of
     the pair at theta, dephased in the model's eigenbasis and then corrected
-    by u; every input may be an array of cells (u a stack (..., 4, 4)).
+    by the plan's correction u, if any; every input may be stacked.
 
     No density is built.  With V the model's real eigenvectors, a = V^T beta
     and c = V^T u^dag beta, the trace for rho = |beta><beta| is the
@@ -229,38 +228,43 @@ def _mixed_fidelity(theta, model: IsingParams | PhysicalFields, t0, s,
     step is entry by entry, so a stack equals its point-by-point calls bit
     for bit.
 
-    The form runs PAIR_BLOCK cells at a time, which bounds its temporaries
-    for any size of stack: an input with one entry per cell is sliced per
-    block, and one shared by all cells (a scalar model, say) is used whole.
+    The form runs PAIR_BLOCK cells at a time, and the eigensystem and u are
+    built per block from its cells of the model and plan, so beyond the
+    inputs' own floats memory is bounded for any size of stack.  A value
+    shared by all cells (a scalar model, say) is used whole.
     """
-    energies, vectors = spectrum(model)
     check_angle(theta)
-    rotation = vectors if u is None else u
-    inputs = ((theta, 0), (t0, 0), (s, 0), (energies, 1), (vectors, 2), (rotation, 2))
-    shape = np.broadcast_shapes(*(np.shape(x)[:np.ndim(x) - core] for x, core in inputs))
-    out = np.empty(shape)
-    flat_out = out.reshape(-1)
-    inputs = [(_per_cell(x, shape, core), core) for x, core in inputs]
+    inputs = (theta, t0, s, model, plan)
+    shape = np.broadcast_shapes(*(np.shape(v) for x in inputs for v in _values(x)))
+    out = np.empty(math.prod(shape))
+    inputs = [_on_cells(lambda v: np.broadcast_to(v, shape).reshape(-1), x) for x in inputs]
     for start in range(0, out.size, PAIR_BLOCK):
-        block = slice(start, start + PAIR_BLOCK)
-        th, w0, ws, e, v, r = (x[block] if x.ndim > core else x for x, core in inputs)
-        if u is not None:
-            r = np.conj(r) @ v          # c = beta @ rotation
+        th, w0, ws, cells, cell_plan = (
+            _on_cells(lambda v: v[start:start + PAIR_BLOCK], x) for x in inputs)
+        energies, vectors = spectrum(cells)
+        rotation = vectors if plan is None else np.conj(cell_plan.correction()) @ vectors
         total = 0.0
         for beta in initial_pair(th):
-            total = total + _pure_term(beta.real, e, v, r, w0, ws)
-        flat_out[block] = 0.5 * total
-    return out[()]
+            total = total + _pure_term(beta.real, energies, vectors, rotation, w0, ws)
+        out[start:start + PAIR_BLOCK] = 0.5 * total
+    return out.reshape(shape)[()]
 
 
-def _per_cell(x, shape, core: int) -> np.ndarray:
-    """x with one row per cell of ``shape`` if it has axes beyond its
-    ``core`` ones, else x itself."""
-    x = np.asarray(x)
-    if x.ndim == core:
+def _values(x) -> list:
+    """The values of x, or of the fields of x if it is a model or a plan."""
+    if dataclasses.is_dataclass(x):
+        return [v for f in dataclasses.fields(x) for v in _values(getattr(x, f.name))]
+    return [x]
+
+
+def _on_cells(fn, x):
+    """x with fn applied to its arrays, the fields of a model or plan included."""
+    if not any(np.ndim(v) for v in _values(x)):
         return x
-    core_shape = x.shape[x.ndim - core:]
-    return np.broadcast_to(x, shape + core_shape).reshape((-1,) + core_shape)
+    if dataclasses.is_dataclass(x):
+        return dataclasses.replace(x, **{f.name: _on_cells(fn, getattr(x, f.name))
+                                         for f in dataclasses.fields(x)})
+    return fn(x)
 
 
 def _pure_term(beta, energies, vectors, rotation, t0, s):
@@ -299,8 +303,7 @@ def f_n_mix(theta, b_plus, j, t0, s):
     prefactor pairing with +2j in the frequency).  Cross-checked against
     the mixing pipeline on every call; where they disagree by more than
     FNMIX_CROSSCHECK_TOL the pipeline value is returned, with one
-    FormulaDeviationWarning per such cell.  Every argument may be an array
-    of cells.
+    FormulaDeviationWarning per such cell.  Every argument may be stacked.
     """
     closed = f_n_mix_closed(theta, b_plus, j, t0, s)
     pipeline = f_n_mix_pipeline(theta, b_plus, j, t0, s)
@@ -341,24 +344,22 @@ def f1(theta, p: IsingParams, t0, s, n, m):
     """Quasi-loop repreparation fidelity on the mixed pair (pipeline).
 
     The correction field and duration come from the plan at t = t0; the
-    mixing itself runs over the uncertain duration.  Every argument may be
-    an array of cells, with stacked params.
+    mixing itself runs over the uncertain duration; every argument may be stacked.
     """
-    u = plan_situation1(t0, p, n, m).correction()
+    plan = plan_situation1(t0, p, n, m)
     g = GaussianTime(t0, s)
-    return _mixed_fidelity(theta, p, g.t0, g.s, u)
+    return _mixed_fidelity(theta, p, g.t0, g.s, plan)
 
 
 def f2(theta, fields: PhysicalFields, t0, s, duration, n, m):
     """Local-field repreparation fidelity on the mixed pair (pipeline).
 
     Mixing and planning both use physical units here; the plan is solved at
-    t = t0 and applied to the Gaussian-mixed states.  Every argument may be
-    an array of cells, with stacked fields.
+    t = t0 and applied to the Gaussian-mixed states; every argument may be stacked.
     """
-    u = plan_situation2(t0, fields, duration, n, m).correction()
+    plan = plan_situation2(t0, fields, duration, n, m)
     g = GaussianTime(t0, s)
-    return _mixed_fidelity(theta, fields, g.t0, g.s, u)
+    return _mixed_fidelity(theta, fields, g.t0, g.s, plan)
 
 
 @dataclass(frozen=True)

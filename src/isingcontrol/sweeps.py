@@ -211,12 +211,12 @@ def _on_stacks(fn, params: dict, mode: str) -> tuple[np.ndarray, dict]:
     arrays with one entry per cell) from one call of ``fn`` on the whole
     grid, and the error text of each failed cell by cell index.
 
-    An ``OutOfRange`` whose mask marks some of the remaining cells gives
-    each of them the message of its own entry, and ``fn`` runs again on the
-    rest: a cell dropped at a check passed every check before it, so its
-    message is the one a call on that cell alone gives.  Any other
-    exception fails every remaining cell with its text, and a value that is
-    not finite fails its cell as ``non-finite value <v>``.
+    An ``OutOfRange`` whose mask (one flag, or one per remaining cell)
+    marks some of them gives each marked cell the message of its own entry,
+    and ``fn`` runs again on the rest: a cell dropped at a check passed
+    every check before it, so its message is the one a lone call gives.
+    Any other exception fails every remaining cell with its text, and a
+    value that is not finite fails its cell as ``non-finite value <v>``.
     """
     size = np.broadcast_shapes(*(np.shape(v) for v in params.values()))[0]
     values = np.full(size, math.nan)
@@ -229,17 +229,13 @@ def _on_stacks(fn, params: dict, mode: str) -> tuple[np.ndarray, dict]:
             break
         except Exception as exc:  # noqa: BLE001 - cell isolation is the contract
             mask = exc.failed if isinstance(exc, OutOfRange) else False
-            try:
-                failed = np.broadcast_to(mask, cells.shape)
-            except ValueError:          # a mask of another shape
-                failed = np.zeros(cells.shape, dtype=bool)
-            if not failed.any():
+            if np.shape(mask) not in ((), cells.shape) or not np.any(mask):
                 errors.update(dict.fromkeys(cells.tolist(), str(exc)))
                 break
-            entries = (np.broadcast_to(v, cells.shape)[failed].tolist() for v in exc.values)
-            errors.update(zip(cells[failed].tolist(), map(exc.template.format, *entries))
-                          if exc.values else dict.fromkeys(cells[failed].tolist(), str(exc)))
-            cells = cells[~failed]
+            marked = np.flatnonzero(np.broadcast_to(mask, cells.shape))
+            errors.update((k, exc.message(i if np.ndim(mask) else None))
+                          for k, i in zip(cells[marked].tolist(), marked.tolist()))
+            cells = np.delete(cells, marked)
     for k in np.flatnonzero(~np.isfinite(values)).tolist():
         if k not in errors:
             errors[k] = f"non-finite value {values[k]}"
@@ -292,9 +288,7 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
         params = {**base, names[0]: g1, names[1]: g2}
         params.pop("dummy", None)
         values, errors = _on_stacks(scheme.fn, params, spec.mode)
-    first = [f"{names[0]}={v:.6g}, " for v in a1.tolist()]
-    second = [f"{names[1]}={v:.6g}: " for v in a2.tolist()]
-    failures = tuple(first[k // a2.size] + second[k % a2.size] + errors[k]
+    failures = tuple(f"{names[0]}={g1[k]:.6g}, {names[1]}={g2[k]:.6g}: {errors[k]}"
                      for k in sorted(errors))
     return SweepResult(csv_text=_csv_text(a1, a2, values),
                        values=values.reshape(len(a1), len(a2)), failures=failures)

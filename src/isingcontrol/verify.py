@@ -137,32 +137,37 @@ def _check_f_n(level: str, propagator) -> float:
 
 
 def _check_mixed(level: str, propagator) -> float:
-    """Per theta row, the quadrature oracle and the analytic mixing run once
-    each over every (b+, t0, s) point of the row."""
+    """Per theta row, the quadrature oracle runs once over every (b+, t0, s)
+    point of the row, and the analytic mixing once per b+ over its (t0, s)
+    points."""
     n_th = 5 if level == "full" else 3
     t0_values = (math.pi / 2.0, 3.0 * math.pi / 4.0, 7.0 * math.pi / 4.0)
     g = GaussianTime(*np.array([(t0, s) for t0 in t0_values
                                 for s in (0.0, t0 / 6.0, t0 / 3.0)]).T)
-    row_params = params_from_bj(np.linspace(0.0, 2.0, n_th)[:, None], 1.0 / 6.0)
+    b_plus = np.linspace(0.0, 2.0, n_th)
+    row_params = params_from_bj(b_plus[:, None], 1.0 / 6.0)
     deviations = []
     for theta in np.linspace(0.0, math.pi / 2.0, n_th):
         rho = projector(initial_pair(theta)[1])
         oracle = quadrature_oracle(rho, row_params, g, nodes=64)
-        deviations.append(np.abs(gaussian_mixed_state(rho, row_params, g) - oracle).max())
+        for b, expected in zip(b_plus, oracle):
+            mixed = gaussian_mixed_state(rho, params_from_bj(b, 1.0 / 6.0), g)
+            deviations.append(np.abs(mixed - expected).max())
     return _worst(deviations)
 
 
 def _check_witnesses(level: str, propagator) -> float:
-    """Both tables once per theta, over every (b+, t0, s) point."""
+    """Both tables once per (theta, b+), over every (t0, s) point."""
     n = 5 if level == "full" else 3
     g = GaussianTime(*np.array([(t0, s) for t0 in (math.pi / 2.0, 7.0 * math.pi / 4.0)
                                 for s in (0.0, t0 / 4.0)]).T)
-    p = params_from_bj(np.linspace(0.0, 2.0, n)[:, None], 1.0 / 6.0)
     deviations = []
     for theta in np.linspace(0.0, math.pi / 2.0, n):
-        closed = witness_table(theta, p, g)
-        numeric = witness_table_numeric(theta, p, g)
-        deviations.extend(np.abs(closed[k] - numeric[k]).max() for k in closed)
+        for b_plus in np.linspace(0.0, 2.0, n):
+            p = params_from_bj(b_plus, 1.0 / 6.0)
+            closed = witness_table(theta, p, g)
+            numeric = witness_table_numeric(theta, p, g)
+            deviations.extend(np.abs(closed[k] - numeric[k]).max() for k in closed)
     return _worst(deviations)
 
 

@@ -66,7 +66,8 @@ def _f_curve_phases(ratio, t):
 
 
 PURE = (("theta", "b_plus", "j", "t"), ())
-MIXED = (("theta", "s", "b_plus", "j", "t0"), ())
+MIXED = (("theta", "s"), ("b_plus", "j", "t0"))     # one model shared by every cell
+MIXED_ALL = (("theta", "s", "b_plus", "j", "t0"), ())
 # name -> (function, parameters it takes stacked, parameters it takes as floats)
 SCHEMES = {
     "f_dr1": (f_dr1, ("theta",), ()),
@@ -75,16 +76,21 @@ SCHEMES = {
     "f_so": (f_so, *PURE),
     "schmidt_closed_form": (_schmidt_fields, ("theta", "j", "t"), ()),
     "f_n_mix": (_f_n_mix, *MIXED),
+    "f_n_mix all stacked": (_f_n_mix, *MIXED_ALL),
     "f1": (_f1, *MIXED),
+    "f1 all stacked": (_f1, *MIXED_ALL),
     "f2": (_f2, *MIXED),
+    "f2 all stacked": (_f2, *MIXED_ALL),
     "fdr2_value as-printed": (_fdr2_as_printed, *PURE),
     "fdr2_value reprepare-originals": (_fdr2_reprepare_originals, *PURE),
     "evolved_pair_bj": (_evolved_pair, *PURE),
     "witness_table": (_witness_entries, *MIXED),
+    "witness_table all stacked": (_witness_entries, *MIXED_ALL),
     "situation2_phases": (_f_curve_phases, ("ratio", "t"), ()),
 }
 # stacked parameters whose range a function leaves unchecked
-UNCHECKED = {"f_n": {"theta", "j"}, "witness_table": {"theta"}}
+UNCHECKED = {"f_n": {"theta", "j"}, "witness_table": {"theta"},
+             "witness_table all stacked": {"theta"}}
 VALID = {
     "theta": st.one_of(st.sampled_from([0.0, math.pi / 2]), st.floats(0.0, math.pi / 2)),
     "b_plus": st.floats(-5.0, 5.0),
@@ -104,7 +110,7 @@ INVALID = {
 
 
 # the situation-2 planner needs a nonzero coupling
-PLANNABLE = {"f2": {"j": st.floats(1e-3, 0.5)}}
+PLANNABLE = {name: {"j": st.floats(1e-3, 0.5)} for name in ("f2", "f2 all stacked")}
 
 
 def draw_stack(data, name):

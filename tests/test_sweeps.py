@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 from unittest import mock
@@ -400,6 +401,33 @@ def test_stacked_models_past_the_first_pair_block(scheme, axis1, axis2):
                      fixed={k: v for k, v in fixed.items() if k not in (axis1.name, axis2.name)})
     grid, calls = sweep_matching_cells(spec)
     assert 0 < len(grid.failures) < 1155 and calls <= 4
+
+
+def peak_bytes(spec) -> int:
+    tracemalloc.start()
+    try:
+        run_sweep(spec)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("scheme, axis1, axis2", [
+    ("n-mix", Axis("b_plus", 0.1, 3.0, 200), Axis("j", 0.0, 0.5, 200)),
+    ("f1", Axis("b_plus", 0.1, 3.0, 200), Axis("t0", 0.3, 8.0, 200)),
+    ("f2", Axis("j", 0.01, 0.5, 200), Axis("t0", 0.3, 8.0, 200))])
+def test_grids_over_planner_axes_hold_no_per_cell_matrices(scheme, axis1, axis2):
+    # each block's eigensystem and correction are built in turn, so a grid
+    # whose cells each have their own model and plan peaks within 5% of the
+    # same grid over (theta, s) with one shared model; a spectrum and a
+    # correction held for every cell would add about 10% and 80%
+    fixed = {"theta": 0.7, "s": 0.2, "b_plus": 1.0, "j": 1 / 6, "t0": 2.0}
+    spec = SweepSpec(scheme=scheme, axis1=axis1, axis2=axis2,
+                     fixed={k: v for k, v in fixed.items() if k not in (axis1.name, axis2.name)})
+    shared = SweepSpec(scheme="n-mix", axis1=Axis("theta", 0.0, 1.5, 200),
+                       axis2=Axis("s", 0.0, 0.5, 200),
+                       fixed={"b_plus": 1.0, "j": 1 / 6, "t0": 2.0})
+    assert peak_bytes(spec) < 1.05 * peak_bytes(shared)
 
 
 @pytest.mark.parametrize("failed", [np.ones(3, dtype=bool), np.ones((200, 1), dtype=bool),

@@ -143,8 +143,8 @@ class TestRunVerify:
         assert run_verify(level=level).lines() == pinned.splitlines()
 
     def test_gaussian_oracles_run_once_per_theta_row(self):
-        """The quadrature oracle, the mixing and the witness pipeline each run
-        once per theta row, over all the row's points."""
+        """The quadrature oracle runs once per theta row, the mixing and
+        witness pipelines once per (theta, b+), each over all their points."""
         with mock.patch.object(verify, "quadrature_oracle",
                                wraps=verify.quadrature_oracle) as quadrature, \
                 mock.patch.object(verify, "gaussian_mixed_state",
@@ -154,8 +154,7 @@ class TestRunVerify:
             assert run_verify(level="full").ok
         assert quadrature.call_count == 5
         assert [c.args[2].t0.size for c in quadrature.call_args_list] == [9] * 5
-        assert mixing.call_count == witnesses.call_count == 5
-        assert {c.args[1].b_plus.size for c in mixing.call_args_list} == {5}
+        assert mixing.call_count == witnesses.call_count == 25
         assert {c.args[2].t0.size for c in witnesses.call_args_list} == {4}
 
     def test_rejects_unknown_level(self):
