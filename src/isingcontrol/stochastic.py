@@ -239,10 +239,10 @@ def _mixed_fidelity(theta, model: IsingParams | PhysicalFields, t0, s, plan=None
     out = np.empty(math.prod(shape))
     inputs = [_on_cells(lambda v: np.broadcast_to(v, shape).reshape(-1), x) for x in inputs]
     for start in range(0, out.size, PAIR_BLOCK):
-        th, w0, ws, cells, cell_plan = (
+        th, w0, ws, block_model, block_plan = (
             _on_cells(lambda v: v[start:start + PAIR_BLOCK], x) for x in inputs)
-        energies, vectors = spectrum(cells)
-        rotation = vectors if plan is None else np.conj(cell_plan.correction()) @ vectors
+        energies, vectors = spectrum(block_model)
+        rotation = vectors if plan is None else np.conj(block_plan.correction()) @ vectors
         total = 0.0
         for beta in initial_pair(th):
             total = total + _pure_term(beta.real, energies, vectors, rotation, w0, ws)
