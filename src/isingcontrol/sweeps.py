@@ -17,7 +17,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .control import situation2_phases
+# the schemes that use stochastic and control import them when they run, so
+# the pure-state presets (figure3, figure4) load neither module
 from .discrimination import f_ab, f_dr1, f_n, f_so
 from .evolution import (
     IsingParams,
@@ -30,7 +31,6 @@ from .evolution import (
 )
 from .optimize import OBJECTIVE_MODES, fdr2_value
 from .states import schmidt_closed_form
-from .stochastic import GaussianTime, f1, f2, f_n_mix, witness_table
 
 FIGURE_J = 1.0 / 6.0
 FIGURE_T = math.pi / 2.0
@@ -51,6 +51,9 @@ class Axis:
             raise ValueError(f"axis {self.name!r} needs at least 2 steps, got {self.steps}")
         if not (np.isfinite(self.lo) and np.isfinite(self.hi)):
             raise ValueError(f"axis {self.name!r} bounds must be finite")
+        if not math.isfinite(float(self.hi) - float(self.lo)):
+            raise ValueError(f"axis {self.name!r} span from {self.lo:g} to {self.hi:g} "
+                             "overflows a float")
 
     def values(self) -> np.ndarray:
         return np.linspace(self.lo, self.hi, self.steps)
@@ -116,6 +119,8 @@ def default_situation1_indices(t0, p: IsingParams) -> tuple:
 
 def default_situation2_indices(t0, fields: PhysicalFields) -> tuple:
     """(n, m) minimizing the magnitudes of the correcting field products."""
+    from .control import situation2_phases
+
     phi, phi_prime = situation2_phases(fields.b_minus, fields.j, fields.scale, t0)
     n = np.round(_whole(fields.b_plus * t0 / math.pi)) + 0.0
     m = np.round(_whole(((phi + phi_prime) / 2.0) / math.pi)) - n
@@ -159,11 +164,15 @@ def _eval_dr2(params, mode):
 
 
 def _eval_n_mix(params, mode):
+    from .stochastic import f_n_mix
+
     return f_n_mix(params["theta"], params["b_plus"], params["j"],
                    params["t0"], params["s"])
 
 
 def _eval_f1(params, mode):
+    from .stochastic import f1
+
     p = params_from_bj(params["b_plus"], params["j"])
     if "n" in params and "m" in params:
         n, m = _as_int(params, "n"), _as_int(params, "m")
@@ -173,6 +182,8 @@ def _eval_f1(params, mode):
 
 
 def _eval_f2(params, mode):
+    from .stochastic import f2
+
     fields = fields_from_bj(params["b_plus"], params["j"])
     duration = params.get("T", 1.0)
     if "n" in params and "m" in params:
@@ -183,6 +194,8 @@ def _eval_f2(params, mode):
 
 
 def _eval_witness(params, mode):
+    from .stochastic import GaussianTime, witness_table
+
     p = params_from_bj(params["b_plus"], params["j"])
     g = GaussianTime(params["t0"], params["s"])
     key = [_as_int(params, k) for k in ("state", "wi", "wj")]
@@ -199,6 +212,8 @@ def _eval_schmidt(params, mode):
 
 
 def _eval_f_curve(params, mode):
+    from .control import situation2_phases
+
     # f(B- t, 2J t) with 2J = 1 and B- = ratio, so R = sqrt(ratio^2 + 1)
     ratio, t = params["ratio"], params["t"]
     j = 0.5

@@ -138,6 +138,20 @@ class TestProcessStart:
             "isingcontrol.cli", "isingcontrol.control", "isingcontrol.evolution",
             "isingcontrol.linalg", "isingcontrol.states"]]
 
+    @pytest.mark.parametrize("argv, mixed", [
+        (["figure3", "--steps", "3"], False),
+        (["figure4", "--steps", "3"], False),
+        *((["figure5a", "--steps", "3", "--scheme", scheme], True)
+          for scheme in ("n-mix", "f1", "f2")),
+    ], ids=["figure3", "figure4", "figure5a-n-mix", "figure5a-f1", "figure5a-f2"])
+    def test_only_mixed_state_jobs_load_stochastic_and_control(self, argv, mixed):
+        code, _, modules = self.probe(*argv)
+        assert code == 0
+        assert "isingcontrol.sweeps" in modules
+        loaded = {"isingcontrol.stochastic", "isingcontrol.control"} & set(modules)
+        assert loaded == ({"isingcontrol.stochastic", "isingcontrol.control"}
+                          if mixed else set())
+
     def test_parser_choices_match_the_package(self):
         parser = build_parser()
         commands = next(a for a in parser._actions
@@ -208,6 +222,18 @@ class TestSurfaceCommand:
                   "--axis2", "b_plus:0:1:2", "--fix", "j=0.1", "--fix", f"t={value}"])
         assert err.value.code == 2
         assert "not finite" in capsys.readouterr().err
+
+    def test_overflowing_axis_span_exits_2(self, capsys):
+        # finite bounds whose difference overflows: linspace would give nan, inf
+        with pytest.raises(SystemExit) as err:
+            main(["surface", "--scheme", "schmidt", "--axis1", "theta:0:1:3",
+                  "--axis2", "t:-1e308:1e308:3", "--fix", "j=0.2"])
+        assert err.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.endswith(
+            "error: argument --axis2: axis 't' span from -1e+308 to 1e+308 "
+            "overflows a float\n")
 
     @pytest.mark.parametrize("scheme", ["so", "ab"])
     def test_non_finite_cell_value_exits_3(self, scheme, capsys):
@@ -412,6 +438,55 @@ class TestConfigFile:
         cfg.write_text(at_bound + "\n")
         assert main(["figure3", "--config", str(cfg)]) == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+
+class TestProcessEntry:
+    """``python -m isingcontrol.cli`` ends through ``run``, which freezes the
+    collector before exiting: every byte the command writes still arrives."""
+
+    DATA = Path(__file__).parent / "data"
+
+    def run(self, *argv):
+        env = dict(os.environ, PYTHONPATH=str(Path(isingcontrol.__file__).parents[1]))
+        env.pop("PYTHONUNBUFFERED", None)   # buffered, so an exit that skips the flush shows
+        return subprocess.run([sys.executable, "-m", "isingcontrol.cli", *argv], env=env,
+                              capture_output=True)
+
+    def test_figure3_to_stdout_and_to_file(self, tmp_path):
+        pinned = (self.DATA / "figure3_steps10.csv").read_bytes()
+        proc = self.run("figure3", "--steps", "10")
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, pinned, b"")
+        out = tmp_path / "figure3.csv"
+        proc = self.run("figure3", "--steps", "10", "--out", str(out))
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, b"", b"")
+        assert out.read_bytes() == pinned
+
+    def test_verify_report(self):
+        proc = self.run("verify", "--level", "fast")
+        assert (proc.returncode, proc.stderr) == (0, b"")
+        assert proc.stdout == (self.DATA / "verify_fast.txt").read_bytes()
+
+    def test_figure4_with_its_summary_line(self, capsys):
+        proc = self.run("figure4", "--steps", "5")
+        assert proc.returncode == 0
+        assert proc.stdout == (self.DATA / "figure4_steps5.csv").read_bytes()
+        assert main(["figure4", "--steps", "5"]) == 0
+        summary = capsys.readouterr().err
+        assert summary.startswith("figure4: operative mode ") and summary.count("\n") == 1
+        assert proc.stderr.decode() == summary
+
+    def test_failing_grid_lists_every_failure(self):
+        proc = self.run("surface", "--scheme", "n-mix", "--axis1", "b_plus:-3:3:6",
+                        "--axis2", "j:-0.2:0.8:6", "--fix", "theta=0.7", "--fix", "s=0.2",
+                        "--fix", "t0=1.5")
+        failures = (self.DATA / "cells" / "n-mix_bplus_j.failures").read_text().splitlines()
+        pinned = (self.DATA / "cells" / "n-mix_bplus_j.csv").read_text().splitlines()
+        assert proc.returncode == 3
+        assert ([row.rsplit(",", 1)[0] for row in proc.stdout.decode().splitlines()]
+                == [row.rsplit(",", 1)[0] for row in pinned])
+        assert proc.stderr.decode() == "".join(
+            [f"{len(failures)} cell(s) failed numerically:\n",
+             *(f"  {msg}\n" for msg in failures)])
 
 
 class TestVerifyCommand:

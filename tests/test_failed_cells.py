@@ -46,7 +46,7 @@ GRIDS = {
     "dr2_originals": "dr2 --axis1 theta:-0.3:1.9:5 --axis2 j:-0.2:0.8:6 --fix b_plus=1 "
                      "--fix t=1 --mode reprepare-originals",
     "schmidt_angle_j": "schmidt --axis1 theta:-0.3:1.9:5 --axis2 j:-0.2:0.8:6 --fix t=1",
-    "schmidt_overflow": "schmidt --axis1 theta:0:1:3 --axis2 t:-1e308:1e308:3 --fix j=0.2",
+    "schmidt_overflow": "schmidt --axis1 theta:0:1:3 --axis2 t:1e308:1.7e308:3 --fix j=0.2",
     "f-curve_overflow": "f-curve --axis1 ratio:-1e160:1e160:3 --axis2 t:-1e160:1e160:3",
     "n-mix_angle_spread": "n-mix --axis1 theta:-0.3:1.9:5 --axis2 s:-0.2:0.6:5 "
                           "--fix b_plus=1 --fix j=1/6 --fix t0=1.5",
