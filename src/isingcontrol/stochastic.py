@@ -28,7 +28,6 @@ every call.
 """
 from __future__ import annotations
 
-import dataclasses
 import functools
 import itertools
 import math
@@ -48,11 +47,10 @@ from .evolution import (
     spectrum,
 )
 from .linalg import STACK_CELLS, dag, projector
-from .states import check_angle, initial_pair, witness_value
+from .states import initial_pair, witness_value
 
 MODEL_VALIDITY_RATIO = 3.0
 FNMIX_CROSSCHECK_TOL = 1e-9
-PAIR_BLOCK = 4 * STACK_CELLS   # cells per block of the pair form: 64 KiB a (PAIR_BLOCK, 4) array
 
 
 class FormulaDeviationWarning(UserWarning):
@@ -211,10 +209,11 @@ def witness_table_numeric(theta, p: IsingParams, g: GaussianTime) -> dict:
             for state, rho in mixed.items() for i in (0, 1) for j in (0, 1)}
 
 
-def _mixed_fidelity(theta, model: IsingParams | PhysicalFields, t0, s, plan=None):
+def _mixed_fidelity(theta, model: IsingParams | PhysicalFields, t0, s,
+                    u: np.ndarray | None = None):
     """No-measurement average fidelity (Tr rho1 rho1'' + Tr rho2 rho2'')/2 of
     the pair at theta, dephased in the model's eigenbasis and then corrected
-    by the plan's correction u, if any; every input may be stacked.
+    by u; every input may be an array of cells (u a stack (..., 4, 4)).
 
     No density is built.  With V the model's real eigenvectors, a = V^T beta
     and c = V^T u^dag beta, the trace for rho = |beta><beta| is the
@@ -227,44 +226,13 @@ def _mixed_fidelity(theta, model: IsingParams | PhysicalFields, t0, s, plan=None
     sum_k |z_k|^2 plus twice the real parts of the six pairs k < l.  Each
     step is entry by entry, so a stack equals its point-by-point calls bit
     for bit.
-
-    The form runs PAIR_BLOCK cells at a time, and the eigensystem and u are
-    built per block from its cells of the model and plan, so beyond the
-    inputs' own floats memory is bounded for any size of stack.  A value
-    shared by all cells (a scalar model, say) is used whole.
     """
-    check_angle(theta)
-    inputs = (theta, t0, s, model, plan)
-    shape = np.broadcast_shapes(*(np.shape(v) for x in inputs for v in _values(x)))
-    out = np.empty(math.prod(shape))
-    inputs = [_on_cells(lambda v: np.broadcast_to(v, shape).reshape(-1), x) for x in inputs]
-    for start in range(0, out.size, PAIR_BLOCK):
-        th, w0, ws, block_model, block_plan = (
-            _on_cells(lambda v: v[start:start + PAIR_BLOCK], x) for x in inputs)
-        energies, vectors = spectrum(block_model)
-        rotation = vectors if plan is None else np.conj(block_plan.correction()) @ vectors
-        total = 0.0
-        for beta in initial_pair(th):
-            total = total + _pure_term(beta.real, energies, vectors, rotation, w0, ws)
-        out[start:start + PAIR_BLOCK] = 0.5 * total
-    return out.reshape(shape)[()]
-
-
-def _values(x) -> list:
-    """The values of x, or of the fields of x if it is a model or a plan."""
-    if dataclasses.is_dataclass(x):
-        return [v for f in dataclasses.fields(x) for v in _values(getattr(x, f.name))]
-    return [x]
-
-
-def _on_cells(fn, x):
-    """x with fn applied to its arrays, the fields of a model or plan included."""
-    if not any(np.ndim(v) for v in _values(x)):
-        return x
-    if dataclasses.is_dataclass(x):
-        return dataclasses.replace(x, **{f.name: _on_cells(fn, getattr(x, f.name))
-                                         for f in dataclasses.fields(x)})
-    return fn(x)
+    energies, vectors = spectrum(model)
+    rotation = vectors if u is None else np.conj(u) @ vectors     # c = beta @ rotation
+    total = 0.0
+    for beta in initial_pair(theta):
+        total = total + _pure_term(beta.real, energies, vectors, rotation, t0, s)
+    return 0.5 * total
 
 
 def _pure_term(beta, energies, vectors, rotation, t0, s):
@@ -346,9 +314,9 @@ def f1(theta, p: IsingParams, t0, s, n, m):
     The correction field and duration come from the plan at t = t0; the
     mixing itself runs over the uncertain duration; every argument may be stacked.
     """
-    plan = plan_situation1(t0, p, n, m)
+    u = plan_situation1(t0, p, n, m).correction()
     g = GaussianTime(t0, s)
-    return _mixed_fidelity(theta, p, g.t0, g.s, plan)
+    return _mixed_fidelity(theta, p, g.t0, g.s, u)
 
 
 def f2(theta, fields: PhysicalFields, t0, s, duration, n, m):
@@ -357,9 +325,9 @@ def f2(theta, fields: PhysicalFields, t0, s, duration, n, m):
     Mixing and planning both use physical units here; the plan is solved at
     t = t0 and applied to the Gaussian-mixed states; every argument may be stacked.
     """
-    plan = plan_situation2(t0, fields, duration, n, m)
+    u = plan_situation2(t0, fields, duration, n, m).correction()
     g = GaussianTime(t0, s)
-    return _mixed_fidelity(theta, fields, g.t0, g.s, plan)
+    return _mixed_fidelity(theta, fields, g.t0, g.s, u)
 
 
 @dataclass(frozen=True)

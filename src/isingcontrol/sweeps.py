@@ -3,12 +3,11 @@
 A sweep evaluates one scheme over a two-axis grid with the remaining
 parameters fixed, and serializes ``axis1,axis2,value`` rows in row-major
 order with 12 significant digits.  Every scheme's function takes each
-parameter as a float or as an array with one entry per cell, so a grid is
-one call.  The range rules live only in the scheme functions' own checks:
-a failed check raises :class:`evolution.OutOfRange`, whose mask and message
-template name each failing cell, and the call runs again on the others.
-Failed cells are ``nan`` and reported, never raised; a non-finite value is a
-failure too.  Numpy's floating-point warnings are off throughout.
+parameter as a float or as an array with one entry per cell, and is called
+once per block of BLOCK_CELLS cells.  The range rules live only in its own
+checks: a failed check raises :class:`evolution.OutOfRange`, whose mask and
+message template name each failing cell, and the call runs again on the
+block's other cells.  A failed or non-finite cell is ``nan`` and reported.
 """
 from __future__ import annotations
 
@@ -37,6 +36,7 @@ FIGURE_T = math.pi / 2.0
 FIGURE_B_PLUS = 1.0
 FIGURE5_T0 = {"a": math.pi / 2.0, "b": 3.0 * math.pi / 4.0, "c": 7.0 * math.pi / 4.0}
 MAX_CELLS = 1_000_000
+BLOCK_CELLS = 1_024        # cells per call of a scheme, which bounds a grid's memory
 
 
 @dataclass(frozen=True)
@@ -223,34 +223,36 @@ def _eval_f_curve(params, mode):
 
 def _on_stacks(fn, params: dict, mode: str) -> tuple[np.ndarray, dict]:
     """Values of every cell of ``params`` (floats shared by all cells, or
-    arrays with one entry per cell) from one call of ``fn`` on the whole
-    grid, and the error text of each failed cell by cell index.
+    arrays with one entry per cell) from one call of ``fn`` per block of
+    BLOCK_CELLS cells, and the error text of each failed cell by cell index.
 
-    An ``OutOfRange`` whose mask (one flag, or one per remaining cell)
-    marks some of them gives each marked cell the message of its own entry,
-    and ``fn`` runs again on the rest: a cell dropped at a check passed
-    every check before it, so its message is the one a lone call gives.
-    Any other exception fails every remaining cell with its text, and a
-    value that is not finite fails its cell as ``non-finite value <v>``.
+    An ``OutOfRange`` whose mask (one flag, or one per remaining cell of
+    the block) marks some of them gives each marked cell the message of its
+    own entry, and ``fn`` runs again on the block's rest: a cell dropped at
+    a check passed every check before it, so its message is the one a lone
+    call gives.  Any other exception fails every remaining cell of the block
+    with its text, and a value that is not finite fails its cell as
+    ``non-finite value <v>``.
     """
     size = np.broadcast_shapes(*(np.shape(v) for v in params.values()))[0]
     values = np.full(size, math.nan)
     errors = {}
-    cells = np.arange(size)
-    while cells.size:
-        stacks = {k: v[cells] if np.ndim(v) else v for k, v in params.items()}
-        try:
-            values[cells] = fn(stacks, mode)
-            break
-        except Exception as exc:  # noqa: BLE001 - cell isolation is the contract
-            mask = exc.failed if isinstance(exc, OutOfRange) else False
-            if np.shape(mask) not in ((), cells.shape) or not np.any(mask):
-                errors.update(dict.fromkeys(cells.tolist(), str(exc)))
+    for start in range(0, size, BLOCK_CELLS):
+        cells = np.arange(start, min(start + BLOCK_CELLS, size))
+        while cells.size:
+            stacks = {k: v[cells] if np.ndim(v) else v for k, v in params.items()}
+            try:
+                values[cells] = fn(stacks, mode)
                 break
-            marked = np.flatnonzero(np.broadcast_to(mask, cells.shape))
-            errors.update((k, exc.message(i if np.ndim(mask) else None))
-                          for k, i in zip(cells[marked].tolist(), marked.tolist()))
-            cells = np.delete(cells, marked)
+            except Exception as exc:  # noqa: BLE001 - cell isolation is the contract
+                mask = exc.failed if isinstance(exc, OutOfRange) else False
+                if np.shape(mask) not in ((), cells.shape) or not np.any(mask):
+                    errors.update(dict.fromkeys(cells.tolist(), str(exc)))
+                    break
+                marked = np.flatnonzero(np.broadcast_to(mask, cells.shape))
+                errors.update((k, exc.message(i if np.ndim(mask) else None))
+                              for k, i in zip(cells[marked].tolist(), marked.tolist()))
+                cells = np.delete(cells, marked)
     for k in np.flatnonzero(~np.isfinite(values)).tolist():
         if k not in errors:
             errors[k] = f"non-finite value {values[k]}"

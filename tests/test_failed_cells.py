@@ -7,7 +7,8 @@ The grids are ``surface`` arguments, so each one also runs as a CLI command.
 They cover the mixed schemes over the planner inputs (b+, j), (b+, t0) and
 (j, t0), and for every scheme a few grids that mix its failure kinds: angle,
 coupling, spread, t0 <= 0, T <= 0, n pi <= t0, n = 0, a non-integer index, a
-witness key, overflow (rows at +-1e160) and non-finite values.
+witness key, overflow (rows at +-1e160) and non-finite values.  One grid
+spans two blocks of the sweep, with failed cells of each kind in both.
 """
 import math
 import shlex
@@ -64,6 +65,8 @@ GRIDS = {
                        "--fix j=1/6 --fix t0=1.5",
     "f2_duration_n": f"f2 --axis1 T:-0.5:2:6 --axis2 n:-0.5:2:6 --fix m=0 {MIXED_FIX} "
                      "--fix b_plus=1 --fix j=1/6 --fix t0=1.5",
+    "f2_j_t0_two_blocks": "f2 --axis1 j:-0.05:0.55:40 --axis2 t0:-1:8:40 "
+                          f"{MIXED_FIX} --fix b_plus=1",
     "f2_tiny_duration_j": f"f2 --axis1 T:-1e-308:1e-308:3 --axis2 j:-0.2:0.8:6 --fix n=1 "
                           f"--fix m=0 {MIXED_FIX} --fix b_plus=1 --fix t0=1.5",
     "f2_overflow": f"f2 --axis1 {HUGE} --fix s=0.2",

@@ -346,8 +346,8 @@ def per_cell(spec):
 
 
 def sweep_matching_cells(spec):
-    """The sweep, checked to equal its per-cell reference, and the number of
-    times it called the scheme's ``fn``."""
+    """The sweep, checked to equal its per-cell reference, and the params of
+    each call of the scheme's ``fn``, in order."""
     scheme = SCHEMES[spec.scheme]
     calls = []
 
@@ -362,21 +362,36 @@ def sweep_matching_cells(spec):
     np.testing.assert_allclose(grid.values, values, rtol=0, atol=1e-13)
     assert grid.csv_text == sweeps._csv_text(spec.axis1.values(), spec.axis2.values(),
                                              values.ravel())
-    return grid, len(calls)
+    return grid, calls
 
 
 @settings(max_examples=300, deadline=None)
 @given(grid_specs())
 def test_array_path_matches_scalar_path(spec):
     grid, calls = sweep_matching_cells(spec)
-    # one call for the grid, plus one per check that dropped cells
+    # at most 16 cells, so one block: one call, plus one per check that
+    # dropped cells
+    calls = len(calls)
     assert calls == 1 if not grid.failures else 1 <= calls <= 1 + len(grid.failures)
+
+
+@settings(max_examples=200, deadline=None)
+@given(grid_specs(), st.integers(1, 5))
+def test_block_boundaries_change_no_cell(spec, block_cells):
+    # a failed cell's message, and every value, is the same wherever the
+    # block boundaries fall
+    whole = run_sweep(spec)
+    with mock.patch.object(sweeps, "BLOCK_CELLS", block_cells):
+        blocked = run_sweep(spec)
+    assert blocked.csv_text == whole.csv_text
+    assert blocked.failures == whole.failures
+    np.testing.assert_array_equal(blocked.values, whole.values)     # nan where nan
 
 
 @pytest.mark.parametrize("scheme", ["n-mix", "f1", "f2", "witness"])
 def test_out_of_range_cells_past_the_first_block_leave_the_rest_stacked(scheme):
-    # one stacked grid of 400 cells: theta < 0 in the first row, theta > pi/2
-    # in the last rows (past the first STACK_CELLS block), s < 0 in every row
+    # one block of 400 cells: theta < 0 in the first row, theta > pi/2 in
+    # the last rows, s < 0 in every row
     spec = SweepSpec(scheme=scheme, axis1=Axis("theta", -0.1, 1.7, 20),
                      axis2=Axis("s", -0.01, 0.5, 20),
                      fixed={"b_plus": 1.0, "j": 1 / 6, "t0": 1.5, "state": 2, "wi": 0,
@@ -384,7 +399,7 @@ def test_out_of_range_cells_past_the_first_block_leave_the_rest_stacked(scheme):
                            {"b_plus": 1.0, "j": 1 / 6, "t0": 1.5})
     grid, calls = sweep_matching_cells(spec)
     # the spread check drops its cells, then the angle check its own
-    assert calls == (2 if scheme == "witness" else 3)
+    assert len(calls) == (2 if scheme == "witness" else 3)
     assert 20 <= len(grid.failures) < 400   # witness leaves theta unchecked
 
 
@@ -393,14 +408,20 @@ def test_out_of_range_cells_past_the_first_block_leave_the_rest_stacked(scheme):
     ("f1", Axis("b_plus", -3.0, 3.0, 35), Axis("j", -0.02, 0.52, 33)),
     ("f2", Axis("j", -0.02, 0.52, 35), Axis("t0", -0.5, 12.0, 33)),
     ("witness", Axis("b_plus", -3.0, 3.0, 35), Axis("t0", -0.5, 12.0, 33))])
-def test_stacked_models_past_the_first_pair_block(scheme, axis1, axis2):
-    # 1,155 cells, past the first PAIR_BLOCK, each with its own model and
-    # plan, some out of range
+def test_stacked_models_past_the_first_block(scheme, axis1, axis2):
+    # 1,155 cells in two blocks, each cell with its own model and plan, some
+    # out of range
     fixed = {"theta": 0.7, "s": 0.2, "b_plus": 1.0, "j": 1 / 6, "t0": 1.5}
     spec = SweepSpec(scheme=scheme, axis1=axis1, axis2=axis2,
                      fixed={k: v for k, v in fixed.items() if k not in (axis1.name, axis2.name)})
     grid, calls = sweep_matching_cells(spec)
-    assert 0 < len(grid.failures) < 1155 and calls <= 4
+    assert 0 < len(grid.failures) < 1155
+    # the block of each call is that of its first cell
+    g1, g2 = (g.ravel() for g in np.meshgrid(axis1.values(), axis2.values(), indexing="ij"))
+    first = [np.flatnonzero((g1 == c[axis1.name][0]) & (g2 == c[axis2.name][0]))[0]
+             for c in calls]
+    per_block = np.bincount(np.array(first) // sweeps.BLOCK_CELLS)
+    assert len(per_block) == 2 and per_block.max() <= 4
 
 
 def peak_bytes(spec) -> int:
@@ -415,15 +436,19 @@ def peak_bytes(spec) -> int:
 @pytest.mark.parametrize("scheme, axis1, axis2", [
     ("n-mix", Axis("b_plus", 0.1, 3.0, 200), Axis("j", 0.0, 0.5, 200)),
     ("f1", Axis("b_plus", 0.1, 3.0, 200), Axis("t0", 0.3, 8.0, 200)),
-    ("f2", Axis("j", 0.01, 0.5, 200), Axis("t0", 0.3, 8.0, 200))])
-def test_grids_over_planner_axes_hold_no_per_cell_matrices(scheme, axis1, axis2):
-    # each block's eigensystem and correction are built in turn, so a grid
-    # whose cells each have their own model and plan peaks within 5% of the
-    # same grid over (theta, s) with one shared model; a spectrum and a
-    # correction held for every cell would add about 10% and 80%
-    fixed = {"theta": 0.7, "s": 0.2, "b_plus": 1.0, "j": 1 / 6, "t0": 2.0}
+    ("f2", Axis("j", 0.01, 0.5, 200), Axis("t0", 0.3, 8.0, 200)),
+    ("dr2", Axis("theta", 0.0, 1.5, 200), Axis("b_plus", 0.0, 5.0, 200)),
+    ("so", Axis("theta", 0.0, 1.5, 200), Axis("b_plus", 0.0, 5.0, 200))])
+def test_planner_and_pure_state_grids_hold_no_per_cell_matrices(scheme, axis1, axis2):
+    # the sweep calls each scheme once per block, so a grid whose cells each
+    # have their own model and plan, or their own pure-state matrices, peaks
+    # within 5% of the same grid over (theta, s) with one shared model; a
+    # spectrum and a correction held for every cell would add about 10% and
+    # 80%, and dr2's and so's per-cell matrices about 110% and 160%
+    fixed = {"theta": 0.7, "s": 0.2, "b_plus": 1.0, "j": 1 / 6, "t0": 2.0, "t": math.pi / 2}
     spec = SweepSpec(scheme=scheme, axis1=axis1, axis2=axis2,
-                     fixed={k: v for k, v in fixed.items() if k not in (axis1.name, axis2.name)})
+                     fixed={k: v for k, v in fixed.items()
+                            if k in SCHEMES[scheme].params and k not in (axis1.name, axis2.name)})
     shared = SweepSpec(scheme="n-mix", axis1=Axis("theta", 0.0, 1.5, 200),
                        axis2=Axis("s", 0.0, 0.5, 200),
                        fixed={"b_plus": 1.0, "j": 1 / 6, "t0": 2.0})
