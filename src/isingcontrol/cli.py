@@ -26,6 +26,7 @@ import math
 import operator
 import os
 import sys
+import warnings
 from typing import TYPE_CHECKING
 
 # One BLAS thread unless the caller asks for more: no command runs a BLAS
@@ -360,16 +361,23 @@ def main(argv=None) -> int:
         return 2
 
 
+def _warning_line(message, category, *_) -> str:
+    return f"{category.__name__}: {message}\n"
+
+
 def run() -> None:
     """Run one command and end the process with its exit code.
 
-    Before exiting, every object left alive is moved into the collector's
-    permanent generation, so the collections that run at interpreter
-    shutdown do not walk what numpy and the package built at import, which
-    lives until exit anyway.  ``main`` does not freeze: a process that goes
-    on after it (a test, perfbench's traced rounds) must still collect its
-    cycles.
+    A warning prints as one line, its category and message, without the
+    source path and line that would tie stderr to where the package is
+    installed; ``main`` leaves warnings to its caller.  Before exiting,
+    every object left alive is moved into the collector's permanent
+    generation, so the collections that run at interpreter shutdown do not
+    walk what numpy and the package built at import, which lives until exit
+    anyway.  ``main`` does not freeze: a process that goes on after it (a
+    test, perfbench's traced rounds) must still collect its cycles.
     """
+    warnings.formatwarning = _warning_line
     status = main()
     gc.freeze()
     sys.exit(status)

@@ -5,18 +5,18 @@ independent numerical route, with one pass/fail line per suite.
 the production grids.  A propagator can be injected to exercise the
 negative control (a tampered closed form must fail the suite).
 
-The propagator, Schmidt and do-nothing suites evaluate both the closed
-form and its oracle on stacks, one numpy call per block.  The propagator
-suite draws, validates and normalises its random models a block of
-STACK_CELLS at a time and propagates each block with one call of the
+Every suite evaluates both the closed form and its oracle on stacks.  The
+propagator suite draws, validates and normalises its random models a block
+of STACK_CELLS at a time and propagates each block with one call of the
 closed form and one stacked eigh.  The Schmidt suite builds its n^2
 (j, t) propagators in one call and, per theta row, compares
 ``schmidt_closed_form`` with one matmul and one stacked eigvalsh; the
 do-nothing suite compares ``f_n`` with the state pipeline one theta row at
-a time.  The Gaussian suites run the quadrature oracle once per theta row
-and the mixing and witness pipelines once per (theta, b+), each over all
-of its points.  The blocks and rows keep the memory of a run near that of
-a point-by-point one.
+a time.  The Gaussian mixing suite runs the quadrature oracle and the
+analytic mixing once per theta row, and the witness suite both tables once
+over its whole grid.  The Schmidt and do-nothing rows stay because they
+pay for themselves: stacked whole, the two suites print the same report
+and save about 3 ms, but a full run's peak RSS rises from 38.0 to 40.8 MB.
 """
 from __future__ import annotations
 
@@ -137,38 +137,31 @@ def _check_f_n(level: str, propagator) -> float:
 
 
 def _check_mixed(level: str, propagator) -> float:
-    """Per theta row, the quadrature oracle runs once over every (b+, t0, s)
-    point of the row, and the analytic mixing once per b+ over its (t0, s)
-    points."""
+    """Per theta row, the quadrature oracle and the analytic mixing each run
+    once over every (b+, t0, s) point of the row."""
     n_th = 5 if level == "full" else 3
     t0_values = (math.pi / 2.0, 3.0 * math.pi / 4.0, 7.0 * math.pi / 4.0)
     g = GaussianTime(*np.array([(t0, s) for t0 in t0_values
                                 for s in (0.0, t0 / 6.0, t0 / 3.0)]).T)
-    b_plus = np.linspace(0.0, 2.0, n_th)
-    row_params = params_from_bj(b_plus[:, None], 1.0 / 6.0)
-    deviations = []
-    for theta in np.linspace(0.0, math.pi / 2.0, n_th):
+    row_params = params_from_bj(np.linspace(0.0, 2.0, n_th)[:, None], 1.0 / 6.0)
+
+    def deviation(theta):
         rho = projector(initial_pair(theta)[1])
         oracle = quadrature_oracle(rho, row_params, g, nodes=64)
-        for b, expected in zip(b_plus, oracle):
-            mixed = gaussian_mixed_state(rho, params_from_bj(b, 1.0 / 6.0), g)
-            deviations.append(np.abs(mixed - expected).max())
-    return _worst(deviations)
+        return np.abs(gaussian_mixed_state(rho, row_params, g) - oracle).max()
+
+    return _worst(map(deviation, np.linspace(0.0, math.pi / 2.0, n_th)))
 
 
 def _check_witnesses(level: str, propagator) -> float:
-    """Both tables once per (theta, b+), over every (t0, s) point."""
+    """Both tables once, over the whole (theta, b+, t0, s) grid."""
     n = 5 if level == "full" else 3
     g = GaussianTime(*np.array([(t0, s) for t0 in (math.pi / 2.0, 7.0 * math.pi / 4.0)
                                 for s in (0.0, t0 / 4.0)]).T)
-    deviations = []
-    for theta in np.linspace(0.0, math.pi / 2.0, n):
-        for b_plus in np.linspace(0.0, 2.0, n):
-            p = params_from_bj(b_plus, 1.0 / 6.0)
-            closed = witness_table(theta, p, g)
-            numeric = witness_table_numeric(theta, p, g)
-            deviations.extend(np.abs(closed[k] - numeric[k]).max() for k in closed)
-    return _worst(deviations)
+    theta = np.linspace(0.0, math.pi / 2.0, n)[:, None, None]
+    p = params_from_bj(np.linspace(0.0, 2.0, n)[:, None], 1.0 / 6.0)
+    closed, numeric = witness_table(theta, p, g), witness_table_numeric(theta, p, g)
+    return _worst(np.abs(closed[k] - numeric[k]).max() for k in closed)
 
 
 _SUITES = (

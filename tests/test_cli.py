@@ -13,6 +13,7 @@ import isingcontrol
 from isingcontrol import sweeps
 from isingcontrol.cli import CONFIG_MAX_CHARS, build_parser, main, parse_axis, parse_number
 from isingcontrol.optimize import OBJECTIVE_MODES
+from isingcontrol.stochastic import FormulaDeviationWarning
 
 
 # arithmetic that parse_number accepts: numbers, pi and e under + - * / and parentheses
@@ -487,6 +488,25 @@ class TestProcessEntry:
         assert proc.stderr.decode() == "".join(
             [f"{len(failures)} cell(s) failed numerically:\n",
              *(f"  {msg}\n" for msg in failures)])
+
+    def test_formula_deviation_warning_is_one_line(self):
+        proc = self.run("surface", "--scheme", "n-mix", "--axis1", "b_plus:-1e160:1e160:3",
+                        "--axis2", "t0:-1e160:1e160:3", "--fix", "theta=0.7",
+                        "--fix", "j=0.2", "--fix", "s=0.2")
+        failures = (self.DATA / "cells" / "n-mix_overflow.failures").read_text().splitlines()
+        assert proc.returncode == 3 and len(failures) == 8
+        assert proc.stderr.decode() == "".join(
+            ["FormulaDeviationWarning: do-nothing closed form deviates from pipeline "
+             "by 2.232e-01; returning the pipeline value\n",
+             "8 cell(s) failed numerically:\n", *(f"  {msg}\n" for msg in failures)])
+        assert not any(".py" in line or os.sep in line
+                       for line in proc.stderr.decode().splitlines())
+
+    def test_library_callers_still_receive_the_warning(self):
+        with pytest.warns(FormulaDeviationWarning, match="deviates from pipeline by 2.232e-01"):
+            assert main(["surface", "--scheme", "n-mix", "--axis1", "b_plus:-1e160:1e160:3",
+                         "--axis2", "t0:-1e160:1e160:3", "--fix", "theta=0.7",
+                         "--fix", "j=0.2", "--fix", "s=0.2"]) == 3
 
 
 class TestVerifyCommand:

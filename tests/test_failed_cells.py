@@ -9,13 +9,21 @@ They cover the mixed schemes over the planner inputs (b+, j), (b+, t0) and
 coupling, spread, t0 <= 0, T <= 0, n pi <= t0, n = 0, a non-integer index, a
 witness key, overflow (rows at +-1e160) and non-finite values.  One grid
 spans two blocks of the sweep, with failed cells of each kind in both.
+
+Every grid, and a few more failing surfaces, also runs as a CLI process:
+it exits 3 and lists its failures on stderr, with no warning but the
+one-line FormulaDeviationWarning.
 """
 import math
+import os
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import isingcontrol
 from isingcontrol.cli import build_parser
 from isingcontrol.sweeps import SweepSpec, run_sweep
 
@@ -80,6 +88,18 @@ GRIDS = {
                         "--fix wj=0",
 }
 
+# failing surfaces run as CLI processes only; their failures are listed as
+# the sweep in process lists them
+PROCESS_GRIDS = {
+    "schmidt_huge_t": "schmidt --axis1 theta:0:1:3 --axis2 j:0:0.4:3 --fix t=1e308",
+    "f2_angle_j": "f2 --axis1 theta:-0.5:2:6 --axis2 j:-0.1:0.7:8 --fix s=0.2 "
+                  "--fix b_plus=1 --fix t0=1.5",
+    "dr2_angle_j_6x6": "dr2 --axis1 theta:-0.3:1.9:6 --axis2 j:-0.1:0.6:6 --fix b_plus=1 "
+                       "--fix t=1",
+    "f1_angle_spread_30x20": "f1 --axis1 theta:-0.1:1.6:30 --axis2 s:-0.01:0.5:20 "
+                             "--fix j=1/6 --fix b_plus=1 --fix t0=1.5",
+}
+
 
 def sweep(args: str):
     """The sweep of a ``surface`` command's arguments (its scheme first)."""
@@ -107,3 +127,19 @@ def test_failed_cells_match_checked_in_grid(name):
             assert math.isnan(value)
         else:
             assert abs(value - expected_value) <= 1e-12 * max(1.0, abs(expected_value))
+
+
+@pytest.mark.parametrize("name", sorted(GRIDS) + sorted(PROCESS_GRIDS))
+def test_cli_process_exits_3_and_lists_failures(name):
+    args = GRIDS.get(name) or PROCESS_GRIDS[name]
+    env = dict(os.environ, PYTHONPATH=str(Path(isingcontrol.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "isingcontrol.cli", "surface", "--scheme",
+                           *shlex.split(args)], env=env, capture_output=True, text=True)
+    assert proc.returncode == 3
+    listed = [line for line in proc.stderr.splitlines(keepends=True)
+              if not line.startswith("FormulaDeviationWarning: ")]
+    assert not any("Warning" in line for line in listed)
+    failures = ((DATA / f"{name}.failures").read_text().splitlines() if name in GRIDS
+                else sweep(args).failures)
+    assert "".join(listed) == (f"{len(failures)} cell(s) failed numerically:\n"
+                               + failure_text(f"  {msg}" for msg in failures[:20]))

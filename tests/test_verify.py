@@ -142,9 +142,10 @@ class TestRunVerify:
         pinned = (Path(__file__).parent / "data" / f"verify_{level}.txt").read_text()
         assert run_verify(level=level).lines() == pinned.splitlines()
 
-    def test_gaussian_oracles_run_once_per_theta_row(self):
-        """The quadrature oracle runs once per theta row, the mixing and
-        witness pipelines once per (theta, b+), each over all their points."""
+    def test_gaussian_suites_run_once_per_theta_row_and_once_per_grid(self):
+        """The quadrature oracle and the analytic mixing run once per theta
+        row, over every (b+, t0, s) point of the row; the witness tables
+        once, over the whole (theta, b+, t0, s) grid."""
         with mock.patch.object(verify, "quadrature_oracle",
                                wraps=verify.quadrature_oracle) as quadrature, \
                 mock.patch.object(verify, "gaussian_mixed_state",
@@ -154,8 +155,12 @@ class TestRunVerify:
             assert run_verify(level="full").ok
         assert quadrature.call_count == 5
         assert [c.args[2].t0.size for c in quadrature.call_args_list] == [9] * 5
-        assert mixing.call_count == witnesses.call_count == 25
-        assert {c.args[2].t0.size for c in witnesses.call_args_list} == {4}
+        assert mixing.call_count == 5
+        assert [points(c.args[1].b_plus, c.args[2].t0) for c in mixing.call_args_list] \
+            == [5 * 9] * 5
+        assert witnesses.call_count == 1
+        (theta, p, g), _ = witnesses.call_args
+        assert points(theta, p.b_plus, g.t0) == 5 * 5 * 4
 
     def test_rejects_unknown_level(self):
         with pytest.raises(ValueError, match="level"):
