@@ -1,7 +1,7 @@
 """Two-qubit quantum control toolkit.
 
 Simulates Ising-plus-magnetic-field distortion of an entangled pair,
-plans and applies the two repreparation protocols, evaluates and
+plans and composes the two repreparation protocols, evaluates and
 optimizes measure-and-reprepare discrimination fidelities for pure and
 Gaussian-time-mixed states, and emits the fidelity surfaces as CSV.
 
@@ -14,8 +14,8 @@ import importlib
 
 _EXPORTS = {
     "control": (
-        "Situation1Plan", "Situation2Plan", "apply_situation1", "apply_situation2",
-        "fidelity_overlap", "plan_situation1", "plan_situation2", "unwrap_arctan",
+        "Situation1Plan", "Situation2Plan", "fidelity_overlap", "plan_situation1",
+        "plan_situation2", "unwrap_arctan",
     ),
     "discrimination": (
         "LocalPovm", "SchemeResult", "average_fidelity", "computational_povm",

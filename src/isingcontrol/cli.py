@@ -119,16 +119,16 @@ def read_config(path: str | None) -> dict:
         with open(path, encoding="utf-8") as fh:
             text = fh.read(CONFIG_MAX_CHARS + 1)
     except OSError as exc:
-        raise SystemExit2(f"cannot read config {path!r}: {exc}") from None
+        raise ValueError(f"cannot read config {path!r}: {exc}") from None
     if len(text) > CONFIG_MAX_CHARS:
-        raise SystemExit2(f"config {path!r} is longer than {CONFIG_MAX_CHARS} characters")
+        raise ValueError(f"config {path!r} is longer than {CONFIG_MAX_CHARS} characters")
     values = {}
     for lineno, raw in enumerate(text.split("\n"), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
-            raise SystemExit2(f"{path}:{lineno}: expected key=value, got {line!r}")
+            raise ValueError(f"{path}:{lineno}: expected key=value, got {line!r}")
         key, value = line.split("=", 1)
         values[key.strip()] = value.strip()
     return values
@@ -139,7 +139,7 @@ def _config_fixed(config: dict) -> dict:
         return {k: parse_number(v) for k, v in config.items()
                 if k not in _CONFIG_OPTION_KEYS}
     except argparse.ArgumentTypeError as exc:
-        raise SystemExit2(str(exc)) from None
+        raise ValueError(str(exc)) from None
 
 
 def _pick(flag_value, config: dict, key: str, fallback, cast=lambda v: v):
@@ -158,7 +158,7 @@ def _write_output(text: str, out_path: str | None) -> None:
             with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
                 fh.write(text)
         except OSError as exc:
-            raise SystemExit2(f"cannot write output {out_path!r}: {exc}") from None
+            raise ValueError(f"cannot write output {out_path!r}: {exc}") from None
 
 
 def _emit_sweep(result: sweeps.SweepResult, out_path: str | None, extra: str = "") -> int:
@@ -193,8 +193,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_plan(args) -> int:
-    from .control import (apply_situation1, apply_situation2, fidelity_overlap,
-                          plan_situation1, plan_situation2)
+    from .control import fidelity_overlap, plan_situation1, plan_situation2
     from .evolution import PhysicalFields, params_from_bj
     from .states import initial_pair
 
@@ -203,8 +202,13 @@ def _cmd_plan(args) -> int:
     if args.situation == 1:
         p = params_from_bj(args.b_plus, args.j)
         plan = plan_situation1(args.t, p, args.n, args.m)
-        fid1 = fidelity_overlap(beta1, apply_situation1(plan, p, beta1))
-        fid2 = fidelity_overlap(beta2, apply_situation1(plan, p, beta2))
+    else:
+        fields = PhysicalFields(b1=args.b1, b2=args.b2, j=args.coupling)
+        plan = plan_situation2(args.t, fields, args.duration, args.n, args.m)
+    u = plan.composite()
+    fid1 = fidelity_overlap(beta1, u @ beta1)
+    fid2 = fidelity_overlap(beta2, u @ beta2)
+    if args.situation == 1:
         print(f"situation-1 plan  (t={args.t:.9g}, b_plus={p.b_plus:.9g}, "
               f"j={p.j:.9g}, n={plan.n}, m={plan.m})")
         print(f"  duration T            = {plan.duration:.12g}")
@@ -212,10 +216,6 @@ def _cmd_plan(args) -> int:
         print(f"  rational numerator s  = {int(plan.s_num)}")
         print(f"  residual delta        = {plan.delta:.12g}")
     else:
-        fields = PhysicalFields(b1=args.b1, b2=args.b2, j=args.coupling)
-        plan = plan_situation2(args.t, fields, args.duration, args.n, args.m)
-        fid1 = fidelity_overlap(beta1, apply_situation2(plan, fields, args.t, beta1))
-        fid2 = fidelity_overlap(beta2, apply_situation2(plan, fields, args.t, beta2))
         print(f"situation-2 plan  (t={args.t:.9g}, B1={fields.b1:.9g}, "
               f"B2={fields.b2:.9g}, J={fields.j:.9g}, T={plan.duration:.9g}, "
               f"n={plan.n}, m={plan.m})")
@@ -337,16 +337,12 @@ def _validate_plan_args(args) -> None:
     if args.situation == 1:
         missing = [f for f in ("b_plus", "j") if getattr(args, f) is None]
         if missing:
-            raise SystemExit2(f"situation 1 requires --{' --'.join(m.replace('_', '-') for m in missing)}")
+            raise ValueError(f"situation 1 requires --{' --'.join(m.replace('_', '-') for m in missing)}")
     else:
         missing = [f for f in ("b1", "b2", "coupling", "duration")
                    if getattr(args, f) is None]
         if missing:
-            raise SystemExit2(f"situation 2 requires --{' --'.join(missing)}")
-
-
-class SystemExit2(Exception):
-    """Usage/precondition error mapped to exit code 2."""
+            raise ValueError(f"situation 2 requires --{' --'.join(missing)}")
 
 
 def main(argv=None) -> int:
@@ -356,7 +352,7 @@ def main(argv=None) -> int:
         if args.command == "plan":
             _validate_plan_args(args)
         return args.fn(args)
-    except (SystemExit2, ValueError, ArithmeticError) as exc:
+    except (ValueError, ArithmeticError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

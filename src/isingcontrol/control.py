@@ -15,6 +15,10 @@ the second state is recovered exactly only when sin(R t) = 0 or the field
 is homogeneous (B- = 0), and its reprepared form carries a common phase on
 the |01>, |10> components.
 
+Each plan keeps the model and distortion time it was built for:
+``correction()`` is the planned propagator and ``composite()`` the
+distortion followed by it, a stack (..., 4, 4) for a stack of plans.
+
 The arctan phases phi, phi' entering the planner are multivalued; they are
 tracked as the continuous extension from phi(0) = 0 (see
 :func:`unwrap_arctan`), which is what makes the planning formulas usable
@@ -34,7 +38,6 @@ from .evolution import (
     normalize_fields,
     require,
 )
-from .linalg import dag
 
 
 def fidelity_overlap(a: np.ndarray, b: np.ndarray) -> float:
@@ -78,22 +81,14 @@ def situation2_phases(b_minus, j, r, t) -> tuple:
             unwrap_arctan((b_minus + 2.0 * j) / r, rt))
 
 
-def _apply_unitary(u: np.ndarray, state_or_rho: np.ndarray) -> np.ndarray:
-    arr = np.asarray(state_or_rho, dtype=complex)
-    if arr.shape == (4,):
-        return u @ arr
-    if arr.shape == (4, 4):
-        return u @ arr @ dag(u)
-    raise ValueError(f"expected a 4-vector or 4x4 matrix, got shape {arr.shape}")
-
-
 @dataclass(frozen=True)
 class Situation1Plan:
     """Extra-homogeneous-field schedule closing a quasi evolution loop.
 
     ``delta`` is the rational-approximation residual j - s_num/(2n); the
     loop is exact iff delta = 0.  The plan remembers the distortion time
-    and parameters it was built for so a mismatched application is rejected.
+    and parameters it was built for, so that it can compose the distortion
+    with its correction.
     """
 
     n: int
@@ -110,6 +105,10 @@ class Situation1Plan:
         delta_b+ for the duration T; (..., 4, 4) for a stack of plans."""
         corrected = replace(self.params, b_plus=self.params.b_plus + self.delta_b_plus)
         return evolution_closed_form(corrected, self.duration)
+
+    def composite(self) -> np.ndarray:
+        """Full propagator of the distortion followed by the correction."""
+        return self.correction() @ evolution_closed_form(self.params, self.t)
 
 
 def plan_situation1(t, p: IsingParams, n, m) -> Situation1Plan:
@@ -134,18 +133,6 @@ def plan_situation1(t, p: IsingParams, n, m) -> Situation1Plan:
         n=n, m=m, s_num=s_num, duration=duration,
         delta_b_plus=delta_b_plus, delta=delta, t=t, params=p,
     )
-
-
-def situation1_composite(plan: Situation1Plan, p: IsingParams) -> np.ndarray:
-    """Full propagator of distortion followed by the planned correction."""
-    if p != plan.params:
-        raise ValueError("plan was built for different Ising parameters")
-    return plan.correction() @ evolution_closed_form(p, plan.t)
-
-
-def apply_situation1(plan: Situation1Plan, p: IsingParams, state_or_rho: np.ndarray) -> np.ndarray:
-    """Run the distortion plus planned correction on a state or density."""
-    return _apply_unitary(situation1_composite(plan, p), state_or_rho)
 
 
 @dataclass(frozen=True)
@@ -179,6 +166,11 @@ class Situation2Plan:
         """Propagator of the planned local fields over the duration T;
         (..., 4, 4) for a stack of plans."""
         return local_propagator(self.b_plus_prime, self.b_minus_prime, self.duration)
+
+    def composite(self) -> np.ndarray:
+        """Distortion under the full interaction, then the planned local fields."""
+        return self.correction() @ evolution_closed_form(normalize_fields(self.fields),
+                                                         self.fields.scale * self.t)
 
 
 def plan_situation2(t, fields: PhysicalFields, duration, n, m) -> Situation2Plan:
@@ -237,16 +229,3 @@ def local_propagator(b_plus_prime, b_minus_prime, duration) -> np.ndarray:
     u = np.zeros(diagonal.shape + (4,), dtype=complex)
     u[..., range(4), range(4)] = diagonal
     return u
-
-
-def situation2_composite(plan: Situation2Plan, fields: PhysicalFields, t: float) -> np.ndarray:
-    """Distortion under the full interaction, then the planned local fields."""
-    if fields != plan.fields or t != plan.t:
-        raise ValueError("plan was built for different fields or distortion time")
-    return plan.correction() @ evolution_closed_form(normalize_fields(fields), fields.scale * t)
-
-
-def apply_situation2(plan: Situation2Plan, fields: PhysicalFields, t: float,
-                     state_or_rho: np.ndarray) -> np.ndarray:
-    """Run distortion plus local correction on a state or density."""
-    return _apply_unitary(situation2_composite(plan, fields, t), state_or_rho)

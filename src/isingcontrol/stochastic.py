@@ -176,10 +176,11 @@ def witness_table(theta, p: IsingParams, g: GaussianTime) -> dict:
 
     Every argument may be an array of cells; each entry has the shape of
     those it depends on.  Squares are ``np.square``, so floats round as
-    arrays do and a huge b+ s damps to 0 instead of overflowing.
+    arrays do and a huge b+ s damps to 0, its overflow unreported.
     """
-    ep = np.exp(-2.0 * np.square(p.b_plus * g.s)) * np.cos(2.0 * p.b_plus * g.t0)
-    e1 = np.exp(-2.0 * np.square(g.s)) * np.cos(2.0 * g.t0)
+    with np.errstate(over="ignore"):
+        ep = np.exp(-2.0 * np.square(p.b_plus * g.s)) * np.cos(2.0 * p.b_plus * g.t0)
+        e1 = np.exp(-2.0 * np.square(g.s)) * np.cos(2.0 * g.t0)
     c2 = np.square(np.cos(theta))
     s2 = np.square(np.sin(theta))
     jj4 = 4.0 * np.square(p.j)
@@ -245,12 +246,13 @@ def _pure_term(beta, energies, vectors, rotation, t0, s):
     z = np.conj(c) * a
     x, y = z.real, z.imag
     total = np.sum(x * x + y * y, axis=-1)
-    for k, l in itertools.combinations(range(4), 2):
-        w = energies[..., k] - energies[..., l]
-        re = x[..., k] * x[..., l] + y[..., k] * y[..., l]
-        im = y[..., k] * x[..., l] - x[..., k] * y[..., l]
-        phased = np.cos(w * t0) * re + np.sin(w * t0) * im
-        total = total + 2.0 * np.exp(-0.5 * np.square(w * s)) * phased
+    with np.errstate(over="ignore"):        # a huge w s damps to exp(-inf) = 0
+        for k, l in itertools.combinations(range(4), 2):
+            w = energies[..., k] - energies[..., l]
+            re = x[..., k] * x[..., l] + y[..., k] * y[..., l]
+            im = y[..., k] * x[..., l] - x[..., k] * y[..., l]
+            phased = np.cos(w * t0) * re + np.sin(w * t0) * im
+            total = total + 2.0 * np.exp(-0.5 * np.square(w * s)) * phased
     return total
 
 
@@ -286,8 +288,8 @@ def f_n_mix(theta, b_plus, j, t0, s):
 def f_n_mix_closed(theta, b_plus, j, t0, s):
     """The closed form of :func:`f_n_mix`, unchecked, for floats or arrays.
     Squares are products or ``np.square``, never ``**``: a huge w s then
-    gives exp(-inf) = 0 where a Python float's ``** 2`` would raise
-    OverflowError, and floats round as arrays do."""
+    gives exp(-inf) = 0, its overflow unreported, where a Python float's
+    ``** 2`` would raise OverflowError, and floats round as arrays do."""
     c2 = np.square(np.cos(theta))
     s2t = np.square(np.sin(theta))
     jj4 = 4.0 * j * j
@@ -297,15 +299,16 @@ def f_n_mix_closed(theta, b_plus, j, t0, s):
         ws = w * s
         return np.exp(-0.5 * (ws * ws)) * np.cos(w * t0)
 
-    g_n = ((1.0 - 2.0 * j) * (damped_cos(1.0 + b_plus + 2.0 * j)
-                              + damped_cos(1.0 - b_plus + 2.0 * j))
-           + (1.0 + 2.0 * j) * (damped_cos(1.0 + b_plus - 2.0 * j)
-                                + damped_cos(1.0 - b_plus - 2.0 * j)))
-    return 0.25 * (
-        (1.0 + np.exp(-2.0 * (bs * bs)) * np.cos(2.0 * b_plus * t0)) * (1.0 + c2 * c2)
-        + g_n * c2 * s2t
-        + ((1.0 + jj4) + (1.0 - jj4) * np.exp(-2.0 * s * s) * np.cos(2.0 * t0)) * s2t * s2t
-    )
+    with np.errstate(over="ignore"):
+        g_n = ((1.0 - 2.0 * j) * (damped_cos(1.0 + b_plus + 2.0 * j)
+                                  + damped_cos(1.0 - b_plus + 2.0 * j))
+               + (1.0 + 2.0 * j) * (damped_cos(1.0 + b_plus - 2.0 * j)
+                                    + damped_cos(1.0 - b_plus - 2.0 * j)))
+        return 0.25 * (
+            (1.0 + np.exp(-2.0 * (bs * bs)) * np.cos(2.0 * b_plus * t0)) * (1.0 + c2 * c2)
+            + g_n * c2 * s2t
+            + ((1.0 + jj4) + (1.0 - jj4) * np.exp(-2.0 * s * s) * np.cos(2.0 * t0)) * s2t * s2t
+        )
 
 
 def f1(theta, p: IsingParams, t0, s, n, m):

@@ -345,7 +345,9 @@ def figure5_spec(which: str, scheme: str = "n-mix", theta_steps: int = 25,
     The s axis runs to t0/3 in steps of t0/150 (51 samples); j = 1/6 and
     b+ = 1 are fixed, and the repreparation indices default to the
     smallest-field choice for the effective t0.  ``overrides`` replaces
-    preset parameters before the indices are derived.
+    preset parameters before the indices are derived; the derived indices
+    fill n and m only when it names neither, so that one alone is rejected
+    as a ``surface`` rejects it.
     """
     if which not in FIGURE5_T0:
         raise ValueError(f"figure5 variant must be one of {sorted(FIGURE5_T0)}, got {which!r}")
@@ -354,16 +356,14 @@ def figure5_spec(which: str, scheme: str = "n-mix", theta_steps: int = 25,
     fixed = {"j": FIGURE_J, "b_plus": FIGURE_B_PLUS, "t0": FIGURE5_T0[which]}
     fixed.update(overrides or {})
     t0 = fixed["t0"]
+    # derived even when both are given, so that a model they cannot plan exits 2
     if scheme == "f1":
-        n, m = default_situation1_indices(t0, params_from_bj(fixed["b_plus"], fixed["j"]))
-        fixed.setdefault("n", n)
-        fixed.setdefault("m", m)
+        indices = default_situation1_indices(t0, params_from_bj(fixed["b_plus"], fixed["j"]))
     elif scheme == "f2":
-        fields = fields_from_bj(fixed["b_plus"], fixed["j"])
-        n, m = default_situation2_indices(t0, fields)
-        fixed.setdefault("n", n)
-        fixed.setdefault("m", m)
+        indices = default_situation2_indices(t0, fields_from_bj(fixed["b_plus"], fixed["j"]))
         fixed.setdefault("T", 1.0)
+    if scheme != "n-mix" and not {"n", "m"} & fixed.keys():
+        fixed["n"], fixed["m"] = indices
     return SweepSpec(
         scheme=scheme,
         axis1=Axis("theta", 0.0, math.pi / 2.0, theta_steps),
@@ -393,20 +393,9 @@ def figure4_run(steps: int = 25, overrides: dict | None = None) -> Figure4Result
     suboptimal envelope anywhere, the reprepare-originals objective becomes
     operative.  The decision is part of the result metadata.
     """
-    fixed = {"j": FIGURE_J, "t": FIGURE_T}
-    fixed.update(overrides or {})
-
-    def spec_for(mode):
-        return SweepSpec(
-            scheme="dr2",
-            axis1=Axis("theta", 0.0, math.pi / 2.0, steps),
-            axis2=Axis("b_plus", 0.0, 5.0, steps),
-            fixed=fixed,
-            mode=mode,
-        )
-
-    so = run_sweep(replace(spec_for("as-printed"), scheme="so", mode="as-printed"))
-    first = run_sweep(spec_for("as-printed"))
+    so_spec = figure3_spec(steps, overrides)
+    so = run_sweep(so_spec)
+    first = run_sweep(replace(so_spec, scheme="dr2"))
     coverage_first = float((first.values > FIG4_THRESHOLD).mean())
     gap_first = float((so.values - first.values).max())
     in_band = FIG4_COVERAGE_BAND[0] <= coverage_first <= FIG4_COVERAGE_BAND[1]
@@ -414,7 +403,7 @@ def figure4_run(steps: int = 25, overrides: dict | None = None) -> Figure4Result
         return Figure4Result(mode="as-printed", coverage=coverage_first,
                              coverage_as_printed=coverage_first, dominance_gap=gap_first,
                              sweep=first)
-    second = run_sweep(spec_for("reprepare-originals"))
+    second = run_sweep(replace(so_spec, scheme="dr2", mode="reprepare-originals"))
     coverage_second = float((second.values > FIG4_THRESHOLD).mean())
     gap_second = float((so.values - second.values).max())
     return Figure4Result(mode="reprepare-originals", coverage=coverage_second,

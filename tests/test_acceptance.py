@@ -156,13 +156,13 @@ def test_criterion_05_situation1():
         for theta in (0.0, 0.5, 1.1, math.pi / 2):
             b1, b2 = ic.initial_pair(theta)
             for state in (b1, b2):
-                fid = ic.fidelity_overlap(state, ic.apply_situation1(plan, p, state))
+                fid = ic.fidelity_overlap(state, plan.composite() @ state)
                 worst = max(worst, abs(fid - 1.0))
     j_irr = 1.0 / math.sqrt(8.0)
     p = ic.params_from_bj(1.3, j_irr)
     plan = ic.plan_situation1(math.pi / 2, p, 2, 0)
     b1, _ = ic.initial_pair(0.7)
-    fid = ic.fidelity_overlap(b1, ic.apply_situation1(plan, p, b1))
+    fid = ic.fidelity_overlap(b1, plan.composite() @ b1)
     expected = math.cos(2 * plan.n * math.pi * plan.delta) ** 2
     worst_irr = abs(fid - expected)
     ok = worst < 1e-10 and worst_irr < 1e-10
@@ -187,7 +187,7 @@ def test_criterion_06_situation2():
         assert plan.r_prime == pytest.approx(1.0, abs=1e-12)
         for theta in (0.3, 0.9, math.pi / 2):
             _, b2 = ic.initial_pair(theta)
-            fid = ic.fidelity_overlap(b2, ic.apply_situation2(plan, fields, t, b2))
+            fid = ic.fidelity_overlap(b2, plan.composite() @ b2)
             worst = max(worst, abs(fid - 1.0))
     # first state recovers under the B+' condition alone
     fields = ic.PhysicalFields(1.3, 0.4, 0.55)
@@ -197,7 +197,7 @@ def test_criterion_06_situation2():
     worst_b1 = 0.0
     for _ in range(100):
         tampered = dataclasses.replace(plan, b_minus_prime=rng.uniform(-5.0, 5.0))
-        fid = ic.fidelity_overlap(b1, ic.apply_situation2(tampered, fields, 0.9, b1))
+        fid = ic.fidelity_overlap(b1, tampered.composite() @ b1)
         worst_b1 = max(worst_b1, abs(fid - 1.0))
     ok = worst < 1e-10 and worst_b1 < 1e-10
     report("criterion 6 (situation 2 recovery)", ok,

@@ -285,6 +285,19 @@ class TestSurfaceCommand:
 
 
 class TestPlanCommand:
+    @pytest.mark.parametrize("situation, argv", [
+        (1, ["--t", "pi/2", "--b-plus", "1", "--j", "0.25", "--n", "2", "--m", "0"]),
+        (2, ["--t", "1", "--b1", "1", "--b2", "0", "--coupling", "0.5", "--duration", "1.7",
+             "--n", "1", "--m", "0", "--theta", "0.8"]),
+    ])
+    def test_plan_text_is_pinned(self, situation, argv, capsys):
+        # the README and CI plans, byte for byte as checked in
+        assert main(["plan", "--situation", str(situation), *argv]) == 0
+        captured = capsys.readouterr()
+        pinned = Path(__file__).parent / "data" / f"plan_situation{situation}.txt"
+        assert captured.out.encode() == pinned.read_bytes()
+        assert captured.err == ""
+
     def test_situation1_exact_loop(self, capsys):
         code = main(["plan", "--situation", "1", "--t", "pi/2",
                      "--b-plus", "1", "--j", "0.25", "--n", "2", "--m", "0"])
@@ -401,6 +414,20 @@ class TestConfigFile:
                      "--axis2", "s:0:0.3:2", "--config", str(cfg)])
         assert code == 2
         assert "n and m together or neither, got only m" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("scheme", ["f1", "f2"])
+    @pytest.mark.parametrize("given", ["n", "m"])
+    def test_one_repreparation_index_on_a_figure5_preset_exits_2(self, tmp_path, scheme,
+                                                                   given, capsys):
+        # the preset derives n and m only when the config names neither
+        cfg = tmp_path / "fig.cfg"
+        cfg.write_text(f"{given}=5\n")
+        code = main(["figure5a", "--scheme", scheme, "--steps", "3", "--config", str(cfg)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: scheme {scheme!r} takes the indices n and m together "
+                                f"or neither, got only {given}\n")
 
     def test_malformed_config_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"

@@ -6,17 +6,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from isingcontrol.control import (
-    apply_situation1,
-    apply_situation2,
     fidelity_overlap,
     local_propagator,
     plan_situation1,
     plan_situation2,
-    situation1_composite,
     unwrap_arctan,
 )
 from isingcontrol.evolution import PhysicalFields, params_from_bj
-from isingcontrol.linalg import projector
 from isingcontrol.states import bell, initial_pair
 
 SQ8 = math.sqrt(8.0)
@@ -136,7 +132,7 @@ class TestSituation1Application:
                                    (0.4, 0.4, 3, 2, 2.0)):
             p = params_from_bj(b_plus, j)
             plan = plan_situation1(t, p, n, m)
-            comp = situation1_composite(plan, p)
+            comp = plan.composite()
             off = comp - np.diag(np.diag(comp))
             assert np.abs(off).max() < 1e-12
             normalized = np.diag(comp) / comp[0, 0]
@@ -147,14 +143,14 @@ class TestSituation1Application:
         p = params_from_bj(1.0, 0.25)
         plan = plan_situation1(math.pi / 2, p, n=2, m=0)
         b1, b2 = initial_pair(math.pi / 3)
-        assert fidelity_overlap(b1, apply_situation1(plan, p, b1)) == pytest.approx(1.0, abs=1e-12)
-        assert fidelity_overlap(b2, apply_situation1(plan, p, b2)) == pytest.approx(1.0, abs=1e-12)
+        assert fidelity_overlap(b1, plan.composite() @ b1) == pytest.approx(1.0, abs=1e-12)
+        assert fidelity_overlap(b2, plan.composite() @ b2) == pytest.approx(1.0, abs=1e-12)
 
     def test_residual_phase_fidelity_on_first_state(self):
         p = params_from_bj(1.7, 1.0 / SQ8)
         plan = plan_situation1(math.pi / 2, p, n=2, m=0)
         b1, _ = initial_pair(0.5)
-        out = apply_situation1(plan, p, b1)
+        out = plan.composite() @ b1
         expected = math.cos(2 * plan.n * math.pi * plan.delta) ** 2
         assert fidelity_overlap(b1, out) == pytest.approx(expected, abs=1e-10)
 
@@ -162,21 +158,7 @@ class TestSituation1Application:
         p = params_from_bj(1.7, 1.0 / SQ8)
         plan = plan_situation1(1.3, p, n=2, m=1)
         ket01 = np.array([0.0, 1.0, 0.0, 0.0], dtype=complex)
-        assert fidelity_overlap(ket01, apply_situation1(plan, p, ket01)) == pytest.approx(1.0, abs=1e-12)
-
-    def test_density_input(self):
-        p = params_from_bj(1.0, 0.25)
-        plan = plan_situation1(math.pi / 2, p, n=2, m=0)
-        rho = projector(initial_pair(0.8)[1])
-        out = apply_situation1(plan, p, rho)
-        np.testing.assert_allclose(out, rho, atol=1e-12)
-
-    def test_mismatched_params_rejected(self):
-        p = params_from_bj(1.0, 0.25)
-        plan = plan_situation1(math.pi / 2, p, n=2, m=0)
-        other = params_from_bj(1.1, 0.25)
-        with pytest.raises(ValueError, match="different"):
-            apply_situation1(plan, other, bell(0, 0))
+        assert fidelity_overlap(ket01, plan.composite() @ ket01) == pytest.approx(1.0, abs=1e-12)
 
 
 class TestSituation2Planning:
@@ -240,7 +222,7 @@ class TestSituation2Application:
         rng = np.random.default_rng(7)
         for _ in range(100):
             tampered = dataclasses.replace(plan, b_minus_prime=rng.uniform(-5.0, 5.0))
-            out = apply_situation2(tampered, fields, t, b1)
+            out = tampered.composite() @ b1
             assert fidelity_overlap(b1, out) == pytest.approx(1.0, abs=1e-10)
 
     def test_homogeneous_field_perfect_recovery(self):
@@ -248,7 +230,7 @@ class TestSituation2Application:
         _, b2 = initial_pair(0.8)
         for t in (0.3, 1.1, 2.9):
             plan = plan_situation2(t, fields, 1.0, 1, 0)
-            out = apply_situation2(plan, fields, t, b2)
+            out = plan.composite() @ b2
             assert fidelity_overlap(b2, out) == pytest.approx(1.0, abs=1e-10)
 
     def test_rational_ratio_full_period_recovery(self):
@@ -259,7 +241,7 @@ class TestSituation2Application:
         plan = plan_situation2(t, fields, 1.0, 0, 1)
         assert plan.r == pytest.approx(1.0, abs=1e-12)
         _, b2 = initial_pair(0.8)
-        out = apply_situation2(plan, fields, t, b2)
+        out = plan.composite() @ b2
         assert fidelity_overlap(b2, out) == pytest.approx(1.0, abs=1e-10)
 
     def test_reprepared_form_matches_plan_quantities(self):
@@ -269,7 +251,7 @@ class TestSituation2Application:
         t, theta = 0.9, 0.8
         plan = plan_situation2(t, fields, 1.7, 1, 0)
         _, b2 = initial_pair(theta)
-        out = apply_situation2(plan, fields, t, b2)
+        out = plan.composite() @ b2
         out = out / (out[0] / (-math.cos(theta) / math.sqrt(2.0)))
         s = math.sin(theta) / math.sqrt(2.0)
         expected = np.array([
@@ -280,20 +262,36 @@ class TestSituation2Application:
         ])
         np.testing.assert_allclose(out, expected, atol=1e-10)
 
-    def test_density_input(self):
-        fields = PhysicalFields(0.8, 0.8, 0.37)
-        plan = plan_situation2(1.1, fields, 1.0, 1, 0)
-        rho = projector(initial_pair(0.8)[1])
-        out = apply_situation2(plan, fields, 1.1, rho)
-        np.testing.assert_allclose(out, rho, atol=1e-10)
-
-    def test_mismatch_rejected(self):
-        fields = PhysicalFields(0.8, 0.8, 0.37)
-        plan = plan_situation2(1.1, fields, 1.0, 1, 0)
-        with pytest.raises(ValueError, match="different"):
-            apply_situation2(plan, fields, 1.2, bell(0, 0))
-
     def test_local_propagator_is_diagonal_unitary(self):
         u = local_propagator(1.3, -0.7, 2.0)
         assert np.abs(u - np.diag(np.diag(u))).max() == 0.0
         np.testing.assert_allclose(np.abs(np.diag(u)), np.ones(4), atol=1e-15)
+
+
+class TestStackedComposite:
+    """A stack of plans composes as its points do, bit for bit."""
+
+    CELLS = 500
+
+    def test_situation1(self):
+        rng = np.random.default_rng(11)
+        b_plus, j = rng.uniform(-3.0, 3.0, self.CELLS), rng.uniform(0.0, 0.5, self.CELLS)
+        t = rng.uniform(0.01, 6.0, self.CELLS)
+        n = np.floor(t / math.pi) + 1.0 + rng.integers(0, 3, self.CELLS)  # time for the loop
+        m = rng.integers(-3, 4, self.CELLS) + 0.0
+        stack = plan_situation1(t, params_from_bj(b_plus, j), n, m).composite()
+        points = [plan_situation1(t[i], params_from_bj(b_plus[i], j[i]), n[i], m[i]).composite()
+                  for i in range(self.CELLS)]
+        np.testing.assert_array_equal(stack, points)
+
+    def test_situation2(self):
+        rng = np.random.default_rng(12)
+        b1, b2 = rng.uniform(-2.0, 2.0, (2, self.CELLS))
+        coupling = rng.uniform(0.05, 1.0, self.CELLS)
+        t, duration = rng.uniform(0.01, 6.0, self.CELLS), rng.uniform(0.5, 3.0, self.CELLS)
+        n, m = rng.integers(-3, 4, (2, self.CELLS)) + 0.0
+        stack = plan_situation2(t, PhysicalFields(b1, b2, coupling), duration, n, m).composite()
+        points = [plan_situation2(t[i], PhysicalFields(b1[i], b2[i], coupling[i]), duration[i],
+                                  n[i], m[i]).composite()
+                  for i in range(self.CELLS)]
+        np.testing.assert_array_equal(stack, points)

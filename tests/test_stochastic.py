@@ -1,16 +1,11 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from isingcontrol.control import (
-    apply_situation1,
-    apply_situation2,
-    fidelity_overlap,
-    plan_situation1,
-    plan_situation2,
-)
+from isingcontrol.control import fidelity_overlap, plan_situation1, plan_situation2
 from isingcontrol.discrimination import f_n
 from isingcontrol.evolution import (
     IsingParams,
@@ -40,6 +35,7 @@ from isingcontrol.stochastic import (
     witness_table,
     witness_table_numeric,
 )
+from isingcontrol.sweeps import fields_from_bj
 
 J6 = 1.0 / 6.0
 
@@ -180,6 +176,34 @@ class TestFnMix:
                                               * math.cos(2.0)) * s2 * s2)
         assert scalar == pytest.approx(undamped, abs=1e-15)
 
+    @pytest.mark.parametrize("name", ["f_n_mix", "f_n_mix_closed", "f1", "f2", "witness_table"])
+    def test_huge_field_damps_without_a_warning(self, name):
+        # b+ = 1e160 overflows (w s)^2 in every damping factor, which is
+        # meant to reach exp(-inf) = 0: no RuntimeWarning, scalar or stacked
+        calls = {
+            "f_n_mix": lambda b_plus: f_n_mix(0.7, b_plus, 0.2, 1.0, 0.3),
+            "f_n_mix_closed": lambda b_plus: f_n_mix_closed(0.7, b_plus, 0.2, 1.0, 0.3),
+            "f1": lambda b_plus: f1(0.7, params_from_bj(b_plus, 0.2), 1.0, 0.3, 1, 0),
+            "f2": lambda b_plus: f2(0.7, fields_from_bj(b_plus, 0.2), 1.0, 0.3, 1.0, 1, 0),
+            # the entries that depend on b+
+            "witness_table": lambda b_plus: np.stack([
+                witness_table(0.7, params_from_bj(b_plus, 0.2), GaussianTime(1.0, 0.3))[key]
+                for key in ((1, 0, 0), (1, 1, 0), (2, 0, 0), (2, 1, 0))]),
+        }
+        c2, s2 = math.cos(0.7) ** 2, math.sin(0.7) ** 2
+        undamped = 0.25 * ((1.0 + c2 * c2) + (1.16 + 0.84 * math.exp(-0.18) * math.cos(2.0))
+                           * s2 * s2)
+        expected = {"f_n_mix": undamped, "f_n_mix_closed": undamped,
+                    "f1": 0.41571246754097985, "f2": 0.4216707626997831,   # as before the fix
+                    "witness_table": [0.0, 0.0, 1.0 - c2, 1.0 - c2]}[name]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            huge = calls[name](1e160)
+            stack = calls[name](np.array([1e160, 2.0]))
+            point = calls[name](2.0)
+        np.testing.assert_allclose(huge, expected, rtol=0, atol=1e-15)
+        np.testing.assert_array_equal(stack, np.stack([huge, point], axis=-1))
+
     def test_matches_pipeline(self):
         rng = np.random.default_rng(5)
         for _ in range(30):
@@ -245,14 +269,14 @@ class TestF2:
             f2(0.5, fields, 1.0, -0.1, 1.0, 1, 0)
 
 
-def pure_plan_fidelity(theta, apply):
-    """Mean over the pair of |<beta|correction U beta>|^2, from a pure-state plan."""
-    return np.mean([fidelity_overlap(beta, apply(beta)) for beta in initial_pair(theta)])
+def pure_plan_fidelity(theta, u):
+    """Mean over the pair of |<beta|u beta>|^2, u a pure-state plan's composite."""
+    return np.mean([fidelity_overlap(beta, u @ beta) for beta in initial_pair(theta)])
 
 
 class TestPlannerRoundTrip:
     """At s = 0 the mixed schemes reduce to the pure-state plans: the pair is
-    corrected by the very propagator that apply_situation1/2 use."""
+    corrected by the very propagator that ends the plan's composite()."""
 
     @given(st.floats(0.0, math.pi / 2), st.floats(-3.0, 3.0), st.floats(0.0, 0.5),
            st.floats(0.01, 6.0), st.integers(0, 2), st.integers(-3, 3))
@@ -261,7 +285,7 @@ class TestPlannerRoundTrip:
         p = params_from_bj(b_plus, j)
         n = math.floor(t0 / math.pi) + 1 + extra      # leaves time for the loop
         plan = plan_situation1(t0, p, n, m)
-        expected = pure_plan_fidelity(theta, lambda beta: apply_situation1(plan, p, beta))
+        expected = pure_plan_fidelity(theta, plan.composite())
         assert f1(theta, p, t0, 0.0, n, m) == pytest.approx(expected, rel=0, abs=1e-12)
 
     @given(st.floats(0.0, math.pi / 2), st.floats(-2.0, 2.0), st.floats(-2.0, 2.0),
@@ -272,8 +296,7 @@ class TestPlannerRoundTrip:
                                                 n, m):
         fields = PhysicalFields(b1, b2, coupling)
         plan = plan_situation2(t0, fields, duration, n, m)
-        expected = pure_plan_fidelity(
-            theta, lambda beta: apply_situation2(plan, fields, t0, beta))
+        expected = pure_plan_fidelity(theta, plan.composite())
         assert f2(theta, fields, t0, 0.0, duration, n, m) == pytest.approx(
             expected, rel=0, abs=1e-12)
 
