@@ -92,12 +92,16 @@ def schmidt(state: np.ndarray) -> tuple[float, float]:
     These are the eigenvalues of either reduced density matrix; (1/2, 1/2)
     signals maximal entanglement, (1, 0) a product state.  A (..., 4) stack
     of states gives two arrays, from one stacked eigvalsh; a state failing
-    a check anywhere in the stack raises as it would on its own.
+    a check anywhere in the stack raises as it would on its own.  Non-finite
+    entries are rejected before the norm is taken, and a norm that
+    overflows fails the norm check, so neither writes a numpy warning.
     """
     v = np.asarray(state, dtype=complex)
     if v.shape[-1:] != (4,):
         raise ValueError(f"state must be a 4-vector, got shape {v.shape}")
-    norm = np.linalg.norm(v, axis=-1)
+    require(np.isfinite(v).all(axis=-1), "state has a non-finite entry")
+    with np.errstate(over="ignore"):
+        norm = np.linalg.norm(v, axis=-1)
     off = np.abs(norm - 1.0) > 1e-10
     if off.any():
         raise ValueError(f"state norm {norm[off][0]:.12f} is not 1")

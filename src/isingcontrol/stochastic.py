@@ -37,7 +37,7 @@ from typing import Callable
 
 import numpy as np
 
-from .control import plan_situation1, plan_situation2
+# f1 and f2 import control when they run, so verify and n-mix jobs do not load it
 from .evolution import (
     IsingParams,
     PhysicalFields,
@@ -317,6 +317,8 @@ def f1(theta, p: IsingParams, t0, s, n, m):
     The correction field and duration come from the plan at t = t0; the
     mixing itself runs over the uncertain duration; every argument may be stacked.
     """
+    from .control import plan_situation1
+
     u = plan_situation1(t0, p, n, m).correction()
     g = GaussianTime(t0, s)
     return _mixed_fidelity(theta, p, g.t0, g.s, u)
@@ -328,6 +330,8 @@ def f2(theta, fields: PhysicalFields, t0, s, duration, n, m):
     Mixing and planning both use physical units here; the plan is solved at
     t = t0 and applied to the Gaussian-mixed states; every argument may be stacked.
     """
+    from .control import plan_situation2
+
     u = plan_situation2(t0, fields, duration, n, m).correction()
     g = GaussianTime(t0, s)
     return _mixed_fidelity(theta, fields, g.t0, g.s, u)

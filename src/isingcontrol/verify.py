@@ -6,17 +6,20 @@ the production grids.  A propagator can be injected to exercise the
 negative control (a tampered closed form must fail the suite).
 
 Every suite evaluates both the closed form and its oracle on stacks.  The
-propagator suite draws, validates and normalises its random models a block
-of STACK_CELLS at a time and propagates each block with one call of the
-closed form and one stacked eigh.  The Schmidt suite builds its n^2
-(j, t) propagators in one call and, per theta row, compares
+propagator suite takes its models from a quasi-random sequence, which
+covers the model box as evenly as random draws and needs no random number
+generator (so ``numpy.random`` never loads); it computes, validates and
+normalises them a block of STACK_CELLS at a time and propagates each block
+with one call of the closed form and one stacked eigh.  The Schmidt suite
+builds its n^2 (j, t) propagators in one call and, per theta row, compares
 ``schmidt_closed_form`` with one matmul and one stacked eigvalsh; the
 do-nothing suite compares ``f_n`` with the state pipeline one theta row at
 a time.  The Gaussian mixing suite runs the quadrature oracle and the
 analytic mixing once per theta row, and the witness suite both tables once
 over its whole grid.  The Schmidt and do-nothing rows stay because they
 pay for themselves: stacked whole, the two suites print the same report
-and save about 3 ms, but a full run's peak RSS rises from 38.0 to 40.8 MB.
+and save at most a few ms, but a full run's peak RSS rises from 31.6 to
+33.4 MB.
 """
 from __future__ import annotations
 
@@ -81,22 +84,35 @@ def _worst(deviations) -> float:
     return float(np.max(list(deviations), initial=0.0))
 
 
-# Bounds of the four uniforms of one propagator draw, in stream order.
+# Bounds of the four coordinates of one propagator draw.
 _DRAW_LOW = (0.0, -3.0, -3.0, -2.0 * math.pi)    # j, b1, b2, t
 _DRAW_HIGH = (3.0, 3.0, 3.0, 2.0 * math.pi)
+# The R4 additive-recurrence (Kronecker) sequence: point k is
+# (0.5 + k alpha) mod 1, with alpha_i = phi^-i and phi the real root of
+# x^5 = x + 1 (Niederreiter 1992, ch. 5; Roberts 2018).  Each alpha is the
+# one before it divided by phi.
+_PHI = 1.1673039782614187
+_ALPHA = np.divide.accumulate([1.0] + [_PHI] * 4)[1:]
+
+
+def _draws(start: int, size: int) -> np.ndarray:
+    """Points k = start + 1 ... start + size of the R4 sequence mapped onto
+    the draw box, as a (size, 4) array of (j, b1, b2, t).  Only +, *, % and
+    division build them, each exactly rounded, so no point depends on
+    numpy's SIMD dispatch level or on where a block starts."""
+    k = np.arange(start + 1, start + size + 1, dtype=float)[:, None]
+    u = (0.5 + k * _ALPHA) % 1.0
+    return _DRAW_LOW + np.subtract(_DRAW_HIGH, _DRAW_LOW) * u
 
 
 def _check_propagator(level: str, propagator) -> float:
-    """Random physical models (j, b1, b2) and times t, drawn, validated and
-    propagated a block of STACK_CELLS at a time.  A draw takes its four
-    doubles from the stream whether it is kept or not; draws with a scale
-    R < 1e-9 are not compared."""
+    """Quasi-random physical models (j, b1, b2) and times t, the points of
+    :func:`_draws`, computed, validated and propagated a block of
+    STACK_CELLS at a time; draws with a scale R < 1e-9 are not compared."""
     n_draws = 10_000 if level == "full" else 2_000
-    rng = np.random.default_rng(1234)
     deviations = []
     for start in range(0, n_draws, STACK_CELLS):
-        size = min(STACK_CELLS, n_draws - start)
-        j, b1, b2, t = rng.uniform(_DRAW_LOW, _DRAW_HIGH, (size, 4)).T
+        j, b1, b2, t = _draws(start, min(STACK_CELLS, n_draws - start)).T
         kept = PhysicalFields(b1, b2, j).scale >= 1e-9
         fields, t = PhysicalFields(b1[kept], b2[kept], j[kept]), t[kept]
         closed = propagator(normalize_fields(fields), fields.scale * t)

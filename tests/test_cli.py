@@ -132,6 +132,15 @@ class TestProcessStart:
         assert "isingcontrol.verify" in modules
         assert not {"isingcontrol.sweeps", "isingcontrol.optimize"} & set(modules)
 
+    def test_verify_loads_neither_numpy_random_nor_control(self):
+        """The propagator suite's models come from a quasi-random sequence,
+        and only f1 and f2 import control."""
+        run = self.MAIN + "code = [code, 'numpy.random' in sys.modules]\n"
+        (code, random), numpy, modules = self.probe("verify", "--level", "fast", run=run)
+        assert (code, random, numpy) == (0, False, True)
+        assert "isingcontrol.stochastic" in modules
+        assert "isingcontrol.control" not in modules
+
     def test_plan_loads_only_its_modules(self):
         argv = ["plan", "--situation", "1", "--t", "pi/2", "--b-plus", "1", "--j", "0.25",
                 "--n", "2", "--m", "0"]
@@ -139,19 +148,21 @@ class TestProcessStart:
             "isingcontrol.cli", "isingcontrol.control", "isingcontrol.evolution",
             "isingcontrol.linalg", "isingcontrol.states"]]
 
-    @pytest.mark.parametrize("argv, mixed", [
-        (["figure3", "--steps", "3"], False),
-        (["figure4", "--steps", "3"], False),
-        *((["figure5a", "--steps", "3", "--scheme", scheme], True)
-          for scheme in ("n-mix", "f1", "f2")),
+    @pytest.mark.parametrize("argv, expected", [
+        (["figure3", "--steps", "3"], set()),
+        (["figure4", "--steps", "3"], set()),
+        (["figure5a", "--steps", "3", "--scheme", "n-mix"], {"stochastic"}),
+        *((["figure5a", "--steps", "3", "--scheme", scheme], {"stochastic", "control"})
+          for scheme in ("f1", "f2")),
     ], ids=["figure3", "figure4", "figure5a-n-mix", "figure5a-f1", "figure5a-f2"])
-    def test_only_mixed_state_jobs_load_stochastic_and_control(self, argv, mixed):
+    def test_only_mixed_state_jobs_load_stochastic_and_control(self, argv, expected):
+        """stochastic loads for the mixed-state schemes, and control only for
+        the two that plan a correction."""
         code, _, modules = self.probe(*argv)
         assert code == 0
         assert "isingcontrol.sweeps" in modules
         loaded = {"isingcontrol.stochastic", "isingcontrol.control"} & set(modules)
-        assert loaded == ({"isingcontrol.stochastic", "isingcontrol.control"}
-                          if mixed else set())
+        assert loaded == {f"isingcontrol.{name}" for name in expected}
 
     def test_parser_choices_match_the_package(self):
         parser = build_parser()

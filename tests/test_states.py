@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -181,6 +182,27 @@ class TestSchmidt:
     def test_rejects_unnormalized(self):
         with pytest.raises(ValueError, match="norm"):
             schmidt(np.array([1.0, 1.0, 0.0, 0.0]))
+
+    @pytest.mark.parametrize("entry", [complex(np.inf, 1.0), -np.inf, np.nan,
+                                       complex(0.0, np.nan)])
+    def test_non_finite_entry_raises_before_the_norm(self, entry):
+        """Alone or anywhere in a stack, a state with an infinite or nan
+        entry fails with one message and writes no numpy warning (the norm
+        of an infinite entry used to warn; a nan entry passed the norm check
+        and failed later as "matrix has non-finite entries")."""
+        bad = np.array([0.0, entry, 0.0, 0.0])
+        stack = np.stack([bell(0, 0), bell(1, 1), bad])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for state in (bad, stack, stack[::-1, None]):
+                with pytest.raises(ValueError, match="^state has a non-finite entry$"):
+                    schmidt(state)
+
+    def test_overflowing_norm_fails_the_norm_check_without_a_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^state norm inf is not 1$"):
+                schmidt(np.array([1e200, 0.0, 0.0, 0.0]))
 
     @given(st.lists(unit_states(), min_size=1, max_size=8))
     @settings(max_examples=150, deadline=None)

@@ -12,8 +12,9 @@ from isingcontrol.verify import run_verify
 
 PROPAGATOR_SUITE = "propagator closed form vs spectral oracle"
 SCHMIDT_SUITE = "Schmidt closed form vs reduced-density eigenvalues"
-# closed-form points per level: propagator draws (none is skipped for the
-# seeded stream), Schmidt grid points, do-nothing cells
+# closed-form points per level: propagator draws (none is skipped at either
+# level; test_block_draws_equal_the_whole_sequence checks it), Schmidt grid
+# points, do-nothing cells
 POINTS = {"fast": (2_000, 8**3, 6 * 6 * 3 * 3), "full": (10_000, 20**3, 20 * 20 * 5 * 5)}
 SCHMIDT_SIDE = {"fast": 8, "full": 20}
 
@@ -111,30 +112,39 @@ class TestRunVerify:
         assert sum(points(*c.args) for c in schmidt_closed_form.call_args_list) == schmidt_points
         assert sum(points(*c.args) for c in f_n.call_args_list) == f_n_cells
 
-    def test_block_draws_equal_per_draw_stream(self):
-        """Drawing a block of models in one call takes the same doubles, in
-        the same order, as one draw at a time, across every block boundary
-        and in the partial tail block."""
-        draws = POINTS["full"][0]
-        assert (draws // verify.STACK_CELLS, draws % verify.STACK_CELLS) == (39, 16)
+    @pytest.mark.parametrize("level", ["fast", "full"])
+    def test_block_draws_equal_the_whole_sequence(self, level):
+        """The models the suite receives, block by block and in the partial
+        tail block, are the R4 sequence computed in one call: point k is
+        (0.5 + k alpha) mod 1 with alpha_i = phi^-i, mapped onto the box.
+        Every coordinate lies inside its bounds and no draw is skipped."""
+        draws = POINTS[level][0]
+        assert divmod(draws, verify.STACK_CELLS) == {"fast": (7, 208), "full": (39, 16)}[level]
         received = []
 
         def recording(p, t):
             received.append((p.b_plus, p.b_minus, p.j, p.scale, t))
             return evolution_closed_form(p, t)
 
-        assert run_verify(level="full", propagator=recording).ok
-        rng = np.random.default_rng(1234)
-        expected = []
-        for _ in range(draws):
-            j = rng.uniform(0.0, 3.0)
-            b1, b2 = rng.uniform(-3.0, 3.0, 2)
-            t = rng.uniform(-2.0 * np.pi, 2.0 * np.pi)
-            p = normalize_fields(PhysicalFields(b1, b2, j))
-            expected.append((p.b_plus, p.b_minus, p.j, p.scale, p.scale * t))
+        assert run_verify(level=level, propagator=recording).ok
+        phi = 1.1673039782614187
+        assert phi**5 == pytest.approx(phi + 1.0, rel=1e-15)
+        alpha = [1.0 / phi]
+        while len(alpha) < 4:
+            alpha.append(alpha[-1] / phi)
+        u = (0.5 + np.arange(1, draws + 1)[:, None] * np.array(alpha)) % 1.0
+        low = np.array([0.0, -3.0, -3.0, -2.0 * np.pi])
+        high = np.array([3.0, 3.0, 3.0, 2.0 * np.pi])
+        box = low + (high - low) * u
+        assert np.all((low <= box) & (box < high))
+        j, b1, b2, t = box.T
+        fields = PhysicalFields(b1, b2, j)
+        assert fields.scale.min() >= 1e-9
+        p = normalize_fields(fields)
         suite = received[:blocks(draws)]
+        assert [len(block[-1]) for block in suite[:-1]] == [verify.STACK_CELLS] * (len(suite) - 1)
         concatenated = [np.concatenate(column) for column in zip(*suite)]
-        assert np.array_equal(concatenated, np.transpose(expected))
+        assert np.array_equal(concatenated, (p.b_plus, p.b_minus, p.j, p.scale, p.scale * t))
 
     @pytest.mark.parametrize("level", ["fast", "full"])
     def test_report_lines_are_pinned(self, level):
