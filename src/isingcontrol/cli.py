@@ -27,7 +27,6 @@ import operator
 import os
 import sys
 import warnings
-from typing import TYPE_CHECKING
 
 # One BLAS thread unless the caller asks for more: no command runs a BLAS
 # call large enough to split, while the worker that OpenBLAS otherwise
@@ -36,9 +35,6 @@ from typing import TYPE_CHECKING
 # This module loads only the standard library, and each command imports
 # the package modules it uses when it runs, so that is later than here.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
-
-if TYPE_CHECKING:
-    from . import sweeps
 
 # the parser's choices, kept equal to sorted(sweeps.SCHEMES) and
 # optimize.OBJECTIVE_MODES by the tests: naming them here keeps numpy out
@@ -80,19 +76,14 @@ def parse_number(text: str) -> float:
     return value
 
 
-def parse_axis(text: str) -> sweeps.Axis:
+def parse_axis(text: str) -> tuple[str, float, float, int]:
+    """The (name, min, max, steps) of an axis; ``sweeps.Axis`` checks them."""
     parts = text.split(":")
     if len(parts) != 4:
         raise argparse.ArgumentTypeError(
             f"axis must be name:min:max:steps, got {text!r}")
     name, lo, hi, steps = parts
-    lo, hi, steps = parse_number(lo), parse_number(hi), int(steps)
-    from . import sweeps
-
-    try:
-        return sweeps.Axis(name=name, lo=lo, hi=hi, steps=steps)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
+    return name, parse_number(lo), parse_number(hi), int(steps)
 
 
 def parse_fix(text: str) -> tuple[str, float]:
@@ -109,9 +100,8 @@ CONFIG_MAX_CHARS = 64 * 1024   # a config is a few lines; /dev/zero must not fil
 def read_config(path: str | None) -> dict:
     """Optional key=value config file; '#' comments and blank lines ignored.
 
-    Recognized option keys: mode, steps, scheme; everything else
-    is a fixed sweep parameter.  Precedence is always
-    command-line flag > config value > built-in preset value.
+    The option keys are mode, steps and scheme; everything else is a
+    fixed sweep parameter (see :func:`_inputs`).
     """
     if path is None:
         return {}
@@ -134,20 +124,27 @@ def read_config(path: str | None) -> dict:
     return values
 
 
-def _config_fixed(config: dict) -> dict:
-    try:
-        return {k: parse_number(v) for k, v in config.items()
-                if k not in _CONFIG_OPTION_KEYS}
-    except argparse.ArgumentTypeError as exc:
-        raise ValueError(str(exc)) from None
+def _inputs(args, **defaults) -> tuple[dict, dict]:
+    """A command's options and fixed parameters, from its flags and config.
 
-
-def _pick(flag_value, config: dict, key: str, fallback, cast=lambda v: v):
-    if flag_value is not None:
-        return flag_value
-    if key in config:
-        return cast(config[key])
-    return fallback
+    Each option comes from its flag, else from the config (cast to the
+    default's type), else from the default, so a flag beats the config and
+    the config beats the preset.  Every other config key is a fixed number,
+    and ``--fix`` beats it.  An option key the command does not take is an
+    error.
+    """
+    config = read_config(args.config)
+    options = {}
+    for key, default in defaults.items():
+        value = config.pop(key, default)
+        flag = getattr(args, key)
+        options[key] = type(default)(value) if flag is None else flag
+    for key in config:
+        if key in _CONFIG_OPTION_KEYS:
+            raise ValueError(f"config key {key!r} is not used by {args.command}")
+    fixed = {key: parse_number(value) for key, value in config.items()}
+    fixed.update(getattr(args, "fix", None) or ())
+    return options, fixed
 
 
 def _write_output(text: str, out_path: str | None) -> None:
@@ -161,7 +158,7 @@ def _write_output(text: str, out_path: str | None) -> None:
             raise ValueError(f"cannot write output {out_path!r}: {exc}") from None
 
 
-def _emit_sweep(result: sweeps.SweepResult, out_path: str | None, extra: str = "") -> int:
+def _emit_sweep(result, out_path: str | None, extra: str = "") -> int:
     _write_output(result.csv_text + extra, out_path)
     if result.failures:
         sys.stderr.write(f"{len(result.failures)} cell(s) failed numerically:\n")
@@ -172,14 +169,11 @@ def _emit_sweep(result: sweeps.SweepResult, out_path: str | None, extra: str = "
 
 
 def _cmd_surface(args) -> int:
-    config = read_config(args.config)
-    fixed = _config_fixed(config)
-    fixed.update(dict(args.fix or ()))
-    mode = _pick(args.mode, config, "mode", "as-printed")
+    options, fixed = _inputs(args, mode="as-printed")
     from . import sweeps
 
-    spec = sweeps.SweepSpec(scheme=args.scheme, axis1=args.axis1, axis2=args.axis2,
-                            fixed=fixed, mode=mode)
+    spec = sweeps.SweepSpec(scheme=args.scheme, axis1=sweeps.Axis(*args.axis1),
+                            axis2=sweeps.Axis(*args.axis2), fixed=fixed, **options)
     return _emit_sweep(sweeps.run_sweep(spec), args.out)
 
 
@@ -193,6 +187,10 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_plan(args) -> int:
+    needs = ("b_plus", "j") if args.situation == 1 else ("b1", "b2", "coupling", "duration")
+    missing = [f"--{name.replace('_', '-')}" for name in needs if getattr(args, name) is None]
+    if missing:
+        raise ValueError(f"situation {args.situation} requires {' '.join(missing)}")
     from .control import fidelity_overlap, plan_situation1, plan_situation2
     from .evolution import PhysicalFields, params_from_bj
     from .states import initial_pair
@@ -231,22 +229,18 @@ def _cmd_plan(args) -> int:
 
 
 def _cmd_figure3(args) -> int:
-    config = read_config(args.config)
-    steps = _pick(args.steps, config, "steps", 50, int)
-    overrides = _config_fixed(config)
+    options, fixed = _inputs(args, steps=50)
     from . import sweeps
 
-    spec = sweeps.figure3_spec(steps=steps, overrides=overrides)
+    spec = sweeps.figure3_spec(overrides=fixed, **options)
     return _emit_sweep(sweeps.run_sweep(spec), args.out)
 
 
 def _cmd_figure4(args) -> int:
-    config = read_config(args.config)
-    steps = _pick(args.steps, config, "steps", 25, int)
-    overrides = _config_fixed(config)
+    options, fixed = _inputs(args, steps=25)
     from . import sweeps
 
-    result = sweeps.figure4_run(steps=steps, overrides=overrides)
+    result = sweeps.figure4_run(overrides=fixed, **options)
     sys.stderr.write(
         f"figure4: operative mode {result.mode} "
         f"(as-printed coverage {result.coverage_as_printed:.3f}, "
@@ -258,13 +252,10 @@ def _cmd_figure4(args) -> int:
 
 
 def _cmd_figure5(which: str, args) -> int:
-    config = read_config(args.config)
-    scheme = _pick(args.scheme, config, "scheme", "n-mix")
-    steps = _pick(args.steps, config, "steps", 25, int)
-    overrides = _config_fixed(config)
+    options, fixed = _inputs(args, scheme="n-mix", steps=25)
     from . import sweeps
 
-    spec = sweeps.figure5_spec(which, scheme=scheme, theta_steps=steps, overrides=overrides)
+    spec = sweeps.figure5_spec(which, options["scheme"], options["steps"], fixed)
     return _emit_sweep(sweeps.run_sweep(spec), args.out)
 
 
@@ -333,26 +324,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _validate_plan_args(args) -> None:
-    if args.situation == 1:
-        missing = [f for f in ("b_plus", "j") if getattr(args, f) is None]
-        if missing:
-            raise ValueError(f"situation 1 requires --{' --'.join(m.replace('_', '-') for m in missing)}")
-    else:
-        missing = [f for f in ("b1", "b2", "coupling", "duration")
-                   if getattr(args, f) is None]
-        if missing:
-            raise ValueError(f"situation 2 requires --{' --'.join(missing)}")
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command == "plan":
-            _validate_plan_args(args)
         return args.fn(args)
-    except (ValueError, ArithmeticError) as exc:
+    except (ValueError, ArithmeticError, argparse.ArgumentTypeError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

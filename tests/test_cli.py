@@ -2,6 +2,7 @@ import argparse
 import json
 import math
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -11,7 +12,8 @@ from hypothesis import given, settings, strategies as st
 
 import isingcontrol
 from isingcontrol import sweeps
-from isingcontrol.cli import CONFIG_MAX_CHARS, build_parser, main, parse_axis, parse_number
+from isingcontrol.cli import (CONFIG_MAX_CHARS, build_parser, main, parse_axis, parse_fix,
+                              parse_number)
 from isingcontrol.optimize import OBJECTIVE_MODES
 from isingcontrol.stochastic import FormulaDeviationWarning
 
@@ -26,6 +28,30 @@ ARITHMETIC = st.recursive(
 # names other than the two constants, including names of callables
 IDENTIFIERS = st.from_regex(r"[A-Za-z_][A-Za-z0-9_]{0,8}", fullmatch=True).filter(
     lambda name: name not in ("pi", "e"))
+
+# where a drawn surface spec takes each parameter from; the repreparation and
+# witness indices keep their defaults
+RANGES = {"theta": (0.0, 1.6), "b_plus": (-3.0, 3.0), "j": (0.0, 0.5), "t": (-6.0, 6.0),
+          "t0": (0.5, 6.0), "s": (0.0, 0.5), "ratio": (-3.0, 3.0), "dummy": (0.0, 1.0)}
+
+
+@st.composite
+def surface_argv(draw):
+    """``surface`` arguments: a scheme, two of its parameters as axes of 2-4
+    steps, and every other parameter without a default fixed."""
+    scheme = draw(st.sampled_from(sorted(sweeps.SCHEMES)))
+    defined = sweeps.SCHEMES[scheme]
+    names = [name for name in defined.params if name not in defined.defaults]
+    axes = draw(st.permutations([*names, "dummy"]))[:2]
+    value = {name: st.floats(*RANGES[name]).map(repr) for name in RANGES}
+    argv = ["surface", "--scheme", scheme]
+    for flag, name in zip(("--axis1", "--axis2"), axes):
+        argv += [flag, f"{name}:{draw(value[name])}:{draw(value[name])}:"
+                       f"{draw(st.integers(2, 4))}"]
+    for name in names:
+        if name not in axes:
+            argv += ["--fix", f"{name}={draw(value[name])}"]
+    return argv
 
 
 class TestParsing:
@@ -75,10 +101,19 @@ class TestParsing:
             parse_number(text)
 
     def test_parse_axis(self):
-        axis = parse_axis("theta:0:pi/2:25")
-        assert axis.name == "theta"
-        assert axis.hi == pytest.approx(math.pi / 2)
-        assert axis.steps == 25
+        name, lo, hi, steps = parse_axis("theta:0:pi/2:25")
+        assert (name, lo, steps) == ("theta", 0.0, 25)
+        assert hi == pytest.approx(math.pi / 2)
+
+    @pytest.mark.parametrize("text", ["theta:0:1", "theta:0:1:2:3", "theta"])
+    def test_parse_axis_needs_four_fields(self, text):
+        with pytest.raises(argparse.ArgumentTypeError, match="axis must be name:min:max:steps"):
+            parse_axis(text)
+
+    def test_parse_fix(self):
+        assert parse_fix("t=pi/2") == ("t", pytest.approx(math.pi / 2))
+        with pytest.raises(argparse.ArgumentTypeError, match="--fix expects name=value"):
+            parse_fix("t")
 
 
 class TestProcessStart:
@@ -122,9 +157,21 @@ class TestProcessStart:
         (["--help"], 0),
         (["figure3", "--steps", "x"], 2),
         (["figure3", "--config", "/nonexistent"], 2),
-    ], ids=["help", "usage-error", "missing-config"])
+        (["surface", "--scheme", "so", "--axis1", "theta:0:1:2", "--axis2", "b_plus:0:1:2",
+          "--fix", "bad"], 2),
+        (["surface", "--scheme", "so", "--axis1", "theta:0:1:2", "--axis2", "b_plus:0:1:2",
+          "--config", "/nonexistent"], 2),
+    ], ids=["help", "usage-error", "missing-config", "surface-usage-error",
+            "surface-missing-config"])
     def test_help_and_input_errors_load_no_numpy(self, argv, code):
         assert self.probe(*argv) == [code, False, ["isingcontrol.cli"]]
+
+    def test_option_key_the_command_does_not_take_loads_no_numpy(self, tmp_path):
+        cfg = tmp_path / "opts.cfg"
+        cfg.write_text("steps=7\n")
+        assert self.probe("surface", "--scheme", "so", "--axis1", "theta:0:1:2",
+                          "--axis2", "b_plus:0:1:2", "--config", str(cfg)) == [
+            2, False, ["isingcontrol.cli"]]
 
     def test_verify_loads_neither_sweeps_nor_optimize(self):
         code, _, modules = self.probe("verify", "--level", "fast")
@@ -237,15 +284,12 @@ class TestSurfaceCommand:
 
     def test_overflowing_axis_span_exits_2(self, capsys):
         # finite bounds whose difference overflows: linspace would give nan, inf
-        with pytest.raises(SystemExit) as err:
-            main(["surface", "--scheme", "schmidt", "--axis1", "theta:0:1:3",
-                  "--axis2", "t:-1e308:1e308:3", "--fix", "j=0.2"])
-        assert err.value.code == 2
+        code = main(["surface", "--scheme", "schmidt", "--axis1", "theta:0:1:3",
+                     "--axis2", "t:-1e308:1e308:3", "--fix", "j=0.2"])
+        assert code == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.endswith(
-            "error: argument --axis2: axis 't' span from -1e+308 to 1e+308 "
-            "overflows a float\n")
+        assert captured.err == "error: axis 't' span from -1e+308 to 1e+308 overflows a float\n"
 
     @pytest.mark.parametrize("scheme", ["so", "ab"])
     def test_non_finite_cell_value_exits_3(self, scheme, capsys):
@@ -326,6 +370,17 @@ class TestPlanCommand:
     def test_situation1_missing_flags_exit_2(self, capsys):
         code = main(["plan", "--situation", "1", "--t", "1", "--n", "1", "--m", "0"])
         assert code == 2
+        assert capsys.readouterr().err == "error: situation 1 requires --b-plus --j\n"
+
+    @pytest.mark.parametrize("given, missing", [
+        ([], "--b1 --b2 --coupling --duration"),
+        (["--b2", "0", "--duration", "1"], "--b1 --coupling"),
+    ])
+    def test_situation2_missing_flags_exit_2(self, given, missing, capsys):
+        code = main(["plan", "--situation", "2", "--t", "1", "--n", "1", "--m", "0", *given])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: situation 2 requires {missing}\n")
 
     @pytest.mark.parametrize("argv", [
         # unwrap_arctan rounds an infinite R t / pi
@@ -456,6 +511,38 @@ class TestConfigFile:
         assert code == 2
         assert "'threads' is not used" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, key", [
+        (["figure3", "--steps", "3"], "scheme=so"),
+        (["figure3", "--steps", "3"], "mode=as-printed"),
+        (["figure4", "--steps", "3"], "mode=foo"),
+        (["figure5a", "--steps", "3"], "mode=reprepare-originals"),
+        (["surface", "--scheme", "dr1", "--axis1", "theta:0:1:2", "--axis2", "dummy:0:1:2"],
+         "steps=7"),
+        (["surface", "--scheme", "dr1", "--axis1", "theta:0:1:2", "--axis2", "dummy:0:1:2"],
+         "scheme=f1"),
+    ], ids=["figure3-scheme", "figure3-mode", "figure4-mode", "figure5a-mode",
+            "surface-steps", "surface-scheme"])
+    def test_option_key_the_command_does_not_take_exits_2(self, tmp_path, argv, key,
+                                                          capsys):
+        cfg = tmp_path / "opts.cfg"
+        cfg.write_text(f"j=0.2\n{key}\n")
+        assert main([*argv, "--config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        name = key.split("=")[0]
+        assert captured.err == f"error: config key {name!r} is not used by {argv[0]}\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["figure3", "--steps", "3"],
+        ["surface", "--scheme", "dr1", "--axis1", "theta:0:1:2", "--axis2", "dummy:0:1:2"],
+    ])
+    def test_config_value_that_is_not_a_number_exits_2(self, tmp_path, argv, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("j=one\n")
+        assert main([*argv, "--config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", "error: cannot parse number 'one'\n")
+
     def test_missing_config_exits_2(self, capsys):
         code = main(["surface", "--scheme", "dr1", "--axis1", "theta:0:1:2",
                      "--axis2", "dummy:0:1:2", "--config", "/nonexistent.cfg"])
@@ -490,6 +577,28 @@ class TestProcessEntry:
         env.pop("PYTHONUNBUFFERED", None)   # buffered, so an exit that skips the flush shows
         return subprocess.run([sys.executable, "-m", "isingcontrol.cli", *argv], env=env,
                               capture_output=True)
+
+    @pytest.fixture(scope="class")
+    def checkout(self, tmp_path_factory):
+        """A second copy of the package, in another directory."""
+        root = tmp_path_factory.mktemp("checkout")
+        shutil.copytree(Path(isingcontrol.__file__).parent, root / "isingcontrol",
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        return root
+
+    @given(argv=surface_argv())
+    @settings(max_examples=6, deadline=None)
+    def test_any_checkout_and_dispatch_level_write_the_same_bytes(self, checkout, argv):
+        """A drawn surface gives the same stdout and exit code from a second
+        checkout, run from its own directory, with numpy's X86_V4 and X86_V3
+        kernels switched off (stderr may carry a numpy notice)."""
+        first = self.run(*argv)
+        env = dict(os.environ, PYTHONPATH=str(checkout),
+                   NPY_DISABLE_CPU_FEATURES="X86_V4 X86_V3")
+        second = subprocess.run([sys.executable, "-m", "isingcontrol.cli", *argv], env=env,
+                                cwd=checkout, capture_output=True)
+        assert (second.returncode, second.stdout) == (first.returncode, first.stdout)
+        assert first.returncode in (0, 3)
 
     def test_figure3_to_stdout_and_to_file(self, tmp_path):
         pinned = (self.DATA / "figure3_steps10.csv").read_bytes()

@@ -67,6 +67,10 @@ class TestPovmStates:
         povm = table1_povm(math.pi / 2, "A")
         assert povm.theta1 == pytest.approx(0.0)
 
+    def test_table1_rejects_unknown_variant(self):
+        with pytest.raises(ValueError, match="variant must be 'A' or 'B', got 'C'"):
+            table1_povm(0.3, "C")
+
     def test_angle_validation(self):
         with pytest.raises(ValueError, match="theta1"):
             LocalPovm(4.0, 0.0, 0.0, 0.0)
@@ -123,6 +127,18 @@ class TestHelstrom:
         pure = helstrom(b1p, b2p, povm)
         dens = helstrom(projector(b1p), projector(b2p), povm)
         assert dens == pytest.approx(pure, abs=1e-12)
+
+
+class TestStateFidelity:
+    def test_vector_and_density_in_either_order(self):
+        # |<a|b>|^2 whichever of the two is given as its projector
+        _, (b1p, b2p) = evolved_pair_bj(0.7, 1.0, 1 / 6, math.pi / 2)
+        a, b = b1p, (b1p + b2p) / np.linalg.norm(b1p + b2p)
+        expected = abs(np.vdot(a, b)) ** 2
+        assert 0.1 < expected < 0.9
+        for x, y in ((a, b), (projector(a), b), (a, projector(b)),
+                     (projector(a), projector(b))):
+            assert state_fidelity(x, y) == pytest.approx(expected, abs=1e-14)
 
 
 class TestAverageFidelity:

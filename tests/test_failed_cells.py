@@ -14,6 +14,7 @@ Every grid, and a few more failing surfaces, also runs as a CLI process:
 it exits 3 and lists its failures on stderr, with no warning but the
 one-line FormulaDeviationWarning.
 """
+import contextlib
 import math
 import os
 import shlex
@@ -25,7 +26,8 @@ import pytest
 
 import isingcontrol
 from isingcontrol.cli import build_parser
-from isingcontrol.sweeps import SweepSpec, run_sweep
+from isingcontrol.stochastic import FormulaDeviationWarning
+from isingcontrol.sweeps import Axis, SweepSpec, run_sweep
 
 DATA = Path(__file__).parent / "data" / "cells"
 
@@ -104,8 +106,12 @@ PROCESS_GRIDS = {
 def sweep(args: str):
     """The sweep of a ``surface`` command's arguments (its scheme first)."""
     ns = build_parser().parse_args(["surface", "--scheme", *shlex.split(args)])
-    return run_sweep(SweepSpec(scheme=ns.scheme, axis1=ns.axis1, axis2=ns.axis2,
+    return run_sweep(SweepSpec(scheme=ns.scheme, axis1=Axis(*ns.axis1), axis2=Axis(*ns.axis2),
                                fixed=dict(ns.fix or ()), mode=ns.mode or "as-printed"))
+
+
+# grids whose do-nothing closed form deviates from the pipeline, which warns
+DEVIATIONS = {"n-mix_overflow": "2.232e-01", "n-mix_overflow_sharp": "2.248e-01"}
 
 
 def failure_text(failures) -> str:
@@ -114,7 +120,9 @@ def failure_text(failures) -> str:
 
 @pytest.mark.parametrize("name", sorted(GRIDS))
 def test_failed_cells_match_checked_in_grid(name):
-    result = sweep(GRIDS[name])
+    with (pytest.warns(FormulaDeviationWarning, match=f"by {DEVIATIONS[name]};")
+          if name in DEVIATIONS else contextlib.nullcontext()):
+        result = sweep(GRIDS[name])
     assert failure_text(result.failures) == (DATA / f"{name}.failures").read_text()
     fixture = (DATA / f"{name}.csv").read_text().splitlines()
     rows = result.csv_text.splitlines()

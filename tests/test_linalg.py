@@ -8,6 +8,7 @@ from isingcontrol.linalg import (
     max_asymmetry,
     partial_trace,
     projector,
+    require_hermitian,
     trace_norm,
 )
 from isingcontrol.states import bell
@@ -45,6 +46,14 @@ class TestHermitianEigenvalues:
     def test_rejects_bad_shape(self):
         with pytest.raises(ValueError, match="2x2 or 4x4"):
             hermitian_eigenvalues(np.eye(3))
+
+    @pytest.mark.parametrize("entry", [np.nan, np.inf, complex(0.0, -np.inf)])
+    def test_rejects_non_finite_entry(self, entry):
+        m = np.eye(4, dtype=complex)
+        m[2, 2] = entry
+        for stack in (m, np.stack([np.eye(4), m])):
+            with pytest.raises(ValueError, match="^density has non-finite entries$"):
+                require_hermitian(stack, name="density")
 
     def test_stack_equals_matrix_by_matrix(self):
         stack = np.array([random_hermitian(seed) for seed in range(6)]).reshape(2, 3, 4, 4)
@@ -112,6 +121,11 @@ class TestPartialTrace:
 
     def test_maximally_mixed(self):
         np.testing.assert_allclose(partial_trace(np.eye(4) / 4, 1), np.eye(2) / 2, atol=1e-14)
+
+    @pytest.mark.parametrize("shape", [(2, 2), (4,), (2, 4, 4)])
+    def test_rejects_shape_other_than_4x4(self, shape):
+        with pytest.raises(ValueError, match=r"density matrix must be 4x4, got shape \("):
+            partial_trace(np.ones(shape) / 4, 1)
 
     def test_bad_qubit_index(self):
         with pytest.raises(ValueError, match="traced qubit"):

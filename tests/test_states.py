@@ -179,6 +179,11 @@ class TestSchmidt:
             lam = schmidt(evolution_closed_form(p, t) @ b1)
             np.testing.assert_allclose(lam, (0.5, 0.5), atol=1e-10)
 
+    @pytest.mark.parametrize("shape", [(2, 2), (3,), (4, 2), ()])
+    def test_rejects_anything_but_4_vectors(self, shape):
+        with pytest.raises(ValueError, match=r"state must be a 4-vector, got shape \("):
+            schmidt(np.ones(shape) / 2)
+
     def test_rejects_unnormalized(self):
         with pytest.raises(ValueError, match="norm"):
             schmidt(np.array([1.0, 1.0, 0.0, 0.0]))

@@ -70,6 +70,11 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="at least 2"):
             Axis("theta", 0, 1, 1)
 
+    @pytest.mark.parametrize("lo, hi", [(math.nan, 1.0), (0.0, math.inf), (-math.inf, 0.0)])
+    def test_bounds_must_be_finite(self, lo, hi):
+        with pytest.raises(ValueError, match="^axis 'theta' bounds must be finite$"):
+            Axis("theta", lo, hi, 3)
+
     def test_grid_size_bounded(self):
         side = math.isqrt(MAX_CELLS)
         tiny_spec(axis1=Axis("theta", 0, 1, side), axis2=Axis("dummy", 0, 1, side))
@@ -257,6 +262,19 @@ def test_figure4_matches_checked_in_surface():
         expected_axes, expected_value = expected.rsplit(",", 1)
         assert row.rsplit(",", 1)[0] == expected_axes
         assert abs(value - float(expected_value)) <= 1e-12
+
+
+def test_figure4_keeps_the_as_printed_surface_inside_the_band():
+    # no preset-grid (j, t) lands the as-printed coverage inside the band
+    # while F_DR2 >= F_SO, so widen the band and take t = 0, where nothing
+    # is distorted and every cell of either surface is 1
+    with mock.patch.object(sweeps, "FIG4_COVERAGE_BAND", (0.7, 1.0)):
+        result = figure4_run(steps=3, overrides={"t": 0.0})
+    assert result.mode == "as-printed"
+    assert result.coverage == result.coverage_as_printed == 1.0
+    assert result.dominance_gap <= 1e-6
+    assert result.sweep.csv_text == run_sweep(
+        replace(figure3_spec(3, {"t": 0.0}), scheme="dr2")).csv_text
 
 
 GOLDEN_SURFACES = [("figure3_steps10.csv", lambda: figure3_spec(steps=10))] + [
