@@ -130,15 +130,19 @@ def _inputs(args, **defaults) -> tuple[dict, dict]:
     Each option comes from its flag, else from the config (cast to the
     default's type), else from the default, so a flag beats the config and
     the config beats the preset.  Every other config key is a fixed number,
-    and ``--fix`` beats it.  An option key the command does not take is an
-    error.
+    and ``--fix`` beats it.  An option key the command does not take, or a
+    ``steps`` that is not an integer, is an error.
     """
     config = read_config(args.config)
     options = {}
     for key, default in defaults.items():
         value = config.pop(key, default)
         flag = getattr(args, key)
-        options[key] = type(default)(value) if flag is None else flag
+        try:
+            options[key] = type(default)(value) if flag is None else flag
+        except ValueError:      # only steps, the one integer option, can fail its cast
+            raise ValueError(f"{args.config}: config key {key!r} must be an integer, "
+                             f"got {value!r}") from None
     for key in config:
         if key in _CONFIG_OPTION_KEYS:
             raise ValueError(f"config key {key!r} is not used by {args.command}")

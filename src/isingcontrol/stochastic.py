@@ -9,8 +9,10 @@ which in the energy eigenbasis of H is pure dephasing: the (k, l) matrix
 element picks up exp(-i w t0 - w^2 s^2 / 2) with w = E_k - E_l.
 :func:`dephase` evaluates that analytically in the closed-form eigensystem
 of :func:`evolution.spectrum`, as matrices; :func:`quadrature_oracle`
-recomputes it by Gauss-Hermite quadrature as an independent check.  Both
-take stacks, so ``verify`` runs them once per theta row or (theta, b+).
+recomputes it by Gauss-Hermite quadrature as an independent check, with a
+rule built from the Hermite recurrence by Newton steps, so that neither
+``numpy.polynomial`` nor an eigensolver runs for it.  Both take stacks, so
+``verify`` runs them once per theta row or (theta, b+).
 
 The integration range is the whole real line, which physically presumes
 t0/s >> 1; ``GaussianTime`` accepts any ratio but flags models below
@@ -115,8 +117,43 @@ def gaussian_mixed_state(rho: np.ndarray, p: IsingParams, g: GaussianTime) -> np
 
 @functools.cache
 def _hermite_rule(nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Hermite nodes and weights, computed once per size and read-only."""
-    x, w = np.polynomial.hermite.hermgauss(nodes)
+    """Gauss-Hermite nodes and weights, computed once per size and read-only.
+
+    The rule of numpy's ``hermgauss`` without an eigensolver.  The k-th zero
+    of H_n from either end starts at -+sqrt(2n+1) cos(phi), where
+    phi - sin(phi) cos(phi) = pi (4k - 1) / (4n + 2) (the semicircle law),
+    and Newton steps on the orthonormal recurrence
+    h_{k+1} = sqrt(2/(k+1)) x h_k - sqrt(k/(k+1)) h_{k-1}, with
+    h_n' = sqrt(2n) h_{n-1}, refine it.  The weights are 1/h_{n-1}^2; as
+    in ``hermgauss``, nodes and weights are symmetrized and the weights
+    scaled to sum to sqrt(pi).
+    """
+    area = math.pi * (4 * np.arange(1, nodes + 1) - 1) / (4 * nodes + 2)
+    half = np.minimum(area, math.pi - area)     # the upper zeros mirror the lower ones
+    phi = np.cbrt(1.5 * half)                   # phi - sin(phi) cos(phi) ~ 2 phi^3 / 3
+    for _ in range(3):
+        phi -= (phi - np.sin(phi) * np.cos(phi) - half) / (2.0 * np.sin(phi) ** 2)
+    x = np.copysign(math.sqrt(2 * nodes + 1) * np.cos(phi), area - math.pi / 2)
+
+    def recurrence(x):
+        """h_{n-1}(x) and h_n(x), from h_0 = pi^(-1/4)."""
+        below, h = np.zeros_like(x), np.full_like(x, math.pi ** -0.25)
+        for k in range(nodes):
+            below, h = h, math.sqrt(2 / (k + 1)) * x * h - math.sqrt(k / (k + 1)) * below
+        return below, h
+
+    step = math.inf
+    while step > 1e-10:                         # quadratic: the next step would be < 1e-20
+        below, h = recurrence(x)
+        dx = h / (math.sqrt(2 * nodes) * below)
+        x = x - dx
+        step = np.abs(dx).max()
+    below = recurrence(x)[0]
+    below /= np.abs(below).max()
+    w = 1.0 / (below * below)
+    w = (w + w[::-1]) / 2
+    x = (x - x[::-1]) / 2
+    w *= math.sqrt(math.pi) / w.sum()
     x.flags.writeable = w.flags.writeable = False
     return x, w
 
@@ -126,9 +163,10 @@ def quadrature_oracle(rho: np.ndarray, p: IsingParams, g: GaussianTime,
     """Gauss-Hermite evaluation of the Gaussian average; checks :func:`dephase`.
 
     Substituting t = t0 + sqrt(2) s x turns the integral into
-    (1/sqrt(pi)) sum_i w_i U(t_i) rho U(t_i)^dag, with the node propagators
-    built as one stack by :func:`evolution_closed_form`.  The s = 0 model
-    is the delta distribution and is evaluated directly.
+    (1/sqrt(pi)) sum_i w_i U(t_i) rho U(t_i)^dag, with the nodes x_i and
+    weights w_i of :func:`_hermite_rule` and the node propagators built as
+    one stack by :func:`evolution_closed_form`.  The s = 0 model is the
+    delta distribution and is evaluated directly.
 
     rho (..., 4, 4), stacked params and the mean and spread of ``g`` may be
     arrays that broadcast against each other; the result is the (..., 4, 4)

@@ -173,6 +173,11 @@ class TestProcessStart:
                           "--axis2", "b_plus:0:1:2", "--config", str(cfg)) == [
             2, False, ["isingcontrol.cli"]]
 
+    def test_config_steps_that_is_not_an_integer_loads_no_numpy(self, tmp_path):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("steps=abc\n")
+        assert self.probe("figure3", "--config", str(cfg)) == [2, False, ["isingcontrol.cli"]]
+
     def test_verify_loads_neither_sweeps_nor_optimize(self):
         code, _, modules = self.probe("verify", "--level", "fast")
         assert code == 0
@@ -181,10 +186,13 @@ class TestProcessStart:
 
     def test_verify_loads_neither_numpy_random_nor_control(self):
         """The propagator suite's models come from a quasi-random sequence,
-        and only f1 and f2 import control."""
-        run = self.MAIN + "code = [code, 'numpy.random' in sys.modules]\n"
-        (code, random), numpy, modules = self.probe("verify", "--level", "fast", run=run)
-        assert (code, random, numpy) == (0, False, True)
+        the quadrature oracle builds its own Gauss-Hermite rule, and only f1
+        and f2 import control."""
+        run = self.MAIN + ("code = [code, 'numpy.random' in sys.modules,\n"
+                           "        'numpy.polynomial' in sys.modules]\n")
+        (code, random, polynomial), numpy, modules = self.probe("verify", "--level", "full",
+                                                                run=run)
+        assert (code, random, polynomial, numpy) == (0, False, False, True)
         assert "isingcontrol.stochastic" in modules
         assert "isingcontrol.control" not in modules
 
@@ -542,6 +550,18 @@ class TestConfigFile:
         assert main([*argv, "--config", str(cfg)]) == 2
         captured = capsys.readouterr()
         assert (captured.out, captured.err) == ("", "error: cannot parse number 'one'\n")
+
+    @pytest.mark.parametrize("command, value", [
+        ("figure3", "abc"), ("figure3", "3.0"), ("figure4", ""), ("figure5a", "x"),
+    ], ids=["figure3-abc", "figure3-3.0", "figure4-empty", "figure5a-x"])
+    def test_config_steps_that_is_not_an_integer_exits_2(self, tmp_path, command, value,
+                                                         capsys):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(f"steps={value}\n")
+        assert main([command, "--config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == (
+            "", f"error: {cfg}: config key 'steps' must be an integer, got {value!r}\n")
 
     def test_missing_config_exits_2(self, capsys):
         code = main(["surface", "--scheme", "dr1", "--axis1", "theta:0:1:2",

@@ -22,6 +22,7 @@ from isingcontrol.states import initial_pair
 from isingcontrol.stochastic import (
     AbdCoefficients,
     GaussianTime,
+    _hermite_rule,
     abd_decompose,
     abd_reconstruct,
     dephase,
@@ -114,6 +115,34 @@ class TestGaussianMixedState:
         before = np.diag(dag(vectors) @ self.rho @ vectors).real
         after = np.diag(dag(vectors) @ mixed @ vectors).real
         np.testing.assert_allclose(after, before, atol=1e-12)
+
+
+class TestHermiteRule:
+    """The oracle's Gauss-Hermite rule, built without an eigensolver."""
+
+    SIZES = (16, 17, 32, 64, 65, 100)
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_matches_hermgauss(self, n):
+        from numpy.polynomial.hermite import hermgauss   # the package never loads it
+
+        x, w = _hermite_rule(n)
+        expected_x, expected_w = hermgauss(n)
+        assert np.abs(x - expected_x).max() <= 4e-15
+        assert np.abs(w / expected_w - 1.0).max() <= 1e-12
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_integrates_even_powers_exactly(self, n):
+        # the rule is exact to degree 2n - 1: sum w x^2k = Gamma(k + 1/2)
+        x, w = _hermite_rule(n)
+        for k in range(n):
+            assert np.dot(w, x ** (2 * k)) == pytest.approx(math.gamma(k + 0.5), rel=1e-13)
+
+    def test_cached_and_read_only(self):
+        x, w = _hermite_rule(64)
+        again = _hermite_rule(64)
+        assert again[0] is x and again[1] is w
+        assert not x.flags.writeable and not w.flags.writeable
 
 
 class TestWitnessTable:
