@@ -29,6 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .evolution import check_coupling
 from .states import check_angle, evolved_pair_bj
 
 
@@ -184,8 +185,11 @@ def f_n(theta, b_plus, j, t):
                     + 1/2 cos(b+ t) (cos t cos 2jt + 2 j sin t sin 2jt) sin^2 2 theta
                     + (4 j^2 sin^2 t + cos^2 t) sin^4 theta ]
 
-    Independent of the field inhomogeneity b-.  Nothing is range-checked.
+    Independent of the field inhomogeneity b-.  Raises if any theta or j is
+    out of range (theta is checked first); a non-finite b+ or t gives nan.
     """
+    check_angle(theta)
+    check_coupling(j)
     c2 = np.square(np.cos(theta))
     s2 = np.square(np.sin(theta))
     cbt = np.cos(b_plus * t)

@@ -24,9 +24,10 @@ the no-measurement form of the average fidelity.  Their pipeline builds no
 density: for a pure state each trace is a quadratic form in its four
 eigen-components, with the factors of :func:`dephase` as coefficients (see
 ``_mixed_fidelity``); ``dephase`` stays the matrix route, which the mixed
-states, the quadrature oracle and the tests use.  The do-nothing closed
-form ``f_n_mix`` is correct and cross-checked against that pipeline on
-every call.
+states and the tests use.  The quadrature oracle does not call it: it
+propagates the state node by node with ``evolution_closed_form``.  The
+do-nothing closed form ``f_n_mix`` is correct and cross-checked against
+that pipeline on every call.
 """
 from __future__ import annotations
 
@@ -49,7 +50,7 @@ from .evolution import (
     spectrum,
 )
 from .linalg import STACK_CELLS, dag, projector
-from .states import initial_pair, witness_value
+from .states import check_angle, initial_pair, witness_value
 
 MODEL_VALIDITY_RATIO = 3.0
 FNMIX_CROSSCHECK_TOL = 1e-9
@@ -214,8 +215,10 @@ def witness_table(theta, p: IsingParams, g: GaussianTime) -> dict:
 
     Every argument may be an array of cells; each entry has the shape of
     those it depends on.  Squares are ``np.square``, so floats round as
-    arrays do and a huge b+ s damps to 0, its overflow unreported.
+    arrays do and a huge b+ s damps to 0, its overflow unreported.  Raises
+    if any theta is out of range.
     """
+    check_angle(theta)
     with np.errstate(over="ignore"):
         ep = np.exp(-2.0 * np.square(p.b_plus * g.s)) * np.cos(2.0 * p.b_plus * g.t0)
         e1 = np.exp(-2.0 * np.square(g.s)) * np.cos(2.0 * g.t0)

@@ -185,12 +185,11 @@ def _eval_f2(params, mode):
     from .stochastic import f2
 
     fields = fields_from_bj(params["b_plus"], params["j"])
-    duration = params.get("T", 1.0)
     if "n" in params and "m" in params:
         n, m = _as_int(params, "n"), _as_int(params, "m")
     else:
         n, m = default_situation2_indices(params["t0"], fields)
-    return f2(params["theta"], fields, params["t0"], params["s"], duration, n, m)
+    return f2(params["theta"], fields, params["t0"], params["s"], params["T"], n, m)
 
 
 def _eval_witness(params, mode):
@@ -361,7 +360,7 @@ def figure5_spec(which: str, scheme: str = "n-mix", theta_steps: int = 25,
         indices = default_situation1_indices(t0, params_from_bj(fixed["b_plus"], fixed["j"]))
     elif scheme == "f2":
         indices = default_situation2_indices(t0, fields_from_bj(fixed["b_plus"], fixed["j"]))
-        fixed.setdefault("T", 1.0)
+        fixed.setdefault("T", SCHEMES["f2"].defaults["T"])
     if scheme != "n-mix" and not {"n", "m"} & fixed.keys():
         fixed["n"], fixed["m"] = indices
     return SweepSpec(

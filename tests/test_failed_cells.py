@@ -46,14 +46,12 @@ GRIDS = {
     "f1_bplus_t0_plans": "f1 --axis1 b_plus:-3:3:6 --axis2 t0:-1.5:6:6 --fix theta=0.7 "
                          "--fix s=0.2 --fix j=1/6 --fix n=1 --fix m=0",
     "dr1_angle": "dr1 --axis1 theta:-0.3:1.9:5 --axis2 dummy:0:1:2",
-    "n_overflow": "n --axis1 theta:-0.3:1.9:5 --axis2 b_plus:-1e160:1e160:3 "
-                  "--fix j=0.7 --fix t=1e160",
     **{f"{scheme}_angle_j": f"{scheme} --axis1 theta:-0.3:1.9:5 --axis2 j:-0.2:0.8:6 "
                             "--fix b_plus=1 --fix t=1"
-       for scheme in ("ab", "so", "dr2")},
+       for scheme in ("n", "ab", "so", "dr2")},
     **{f"{scheme}_overflow": f"{scheme} --axis1 b_plus:-1e160:1e160:3 "
                              "--axis2 t:-1e160:1e160:3 --fix theta=0.7 --fix j=0.2"
-       for scheme in ("ab", "so", "dr2")},
+       for scheme in ("n", "ab", "so", "dr2")},
     "dr2_originals": "dr2 --axis1 theta:-0.3:1.9:5 --axis2 j:-0.2:0.8:6 --fix b_plus=1 "
                      "--fix t=1 --mode reprepare-originals",
     "schmidt_angle_j": "schmidt --axis1 theta:-0.3:1.9:5 --axis2 j:-0.2:0.8:6 --fix t=1",

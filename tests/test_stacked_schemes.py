@@ -88,9 +88,6 @@ SCHEMES = {
     "witness_table all stacked": (_witness_entries, *MIXED_ALL),
     "situation2_phases": (_f_curve_phases, ("ratio", "t"), ()),
 }
-# stacked parameters whose range a function leaves unchecked
-UNCHECKED = {"f_n": {"theta", "j"}, "witness_table": {"theta"},
-             "witness_table all stacked": {"theta"}}
 VALID = {
     "theta": st.one_of(st.sampled_from([0.0, math.pi / 2]), st.floats(0.0, math.pi / 2)),
     "b_plus": st.floats(-5.0, 5.0),
@@ -127,7 +124,7 @@ def draw_stack(data, name):
 
 def checked(name):
     """The stacked parameters whose out-of-range values the function rejects."""
-    return sorted(INVALID.keys() & set(SCHEMES[name][1]) - UNCHECKED.get(name, set()))
+    return sorted(INVALID.keys() & set(SCHEMES[name][1]))
 
 
 def cell(columns, i):

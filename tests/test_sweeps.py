@@ -417,8 +417,31 @@ def test_out_of_range_cells_past_the_first_block_leave_the_rest_stacked(scheme):
                            {"b_plus": 1.0, "j": 1 / 6, "t0": 1.5})
     grid, calls = sweep_matching_cells(spec)
     # the spread check drops its cells, then the angle check its own
-    assert len(calls) == (2 if scheme == "witness" else 3)
-    assert 20 <= len(grid.failures) < 400   # witness leaves theta unchecked
+    assert len(calls) == 3
+    assert 20 <= len(grid.failures) < 400
+
+
+IN_RANGE = {"theta": 0.7, "b_plus": 1.0, "j": 1 / 6, "t": 1.0, "t0": 1.5, "s": 0.2}
+# each range-checked axis: its sweep, its valid range and its check's message
+RANGE_CHECKS = {
+    "theta": (Axis("theta", -0.3, 1.9, 5), math.pi / 2, "theta must lie in [0, pi/2]"),
+    "j": (Axis("j", -0.2, 0.8, 5), 0.5, "j must lie in [0, 1/2]"),
+}
+
+
+@pytest.mark.parametrize("scheme, name", [(scheme, name) for scheme in sorted(SCHEMES)
+                                          for name in RANGE_CHECKS
+                                          if name in SCHEMES[scheme].params])
+def test_every_scheme_fails_exactly_its_out_of_range_cells(scheme, name):
+    axis, hi, message = RANGE_CHECKS[name]
+    fixed = {k: v for k, v in IN_RANGE.items() if k in SCHEMES[scheme].params and k != name}
+    grid = run_sweep(SweepSpec(scheme=scheme, axis1=axis, axis2=Axis("dummy", 0.0, 1.0, 2),
+                               fixed=fixed))
+    expected = tuple(f"{name}={v:.6g}, dummy={d:.6g}: {message}, got {v}"
+                     for v in axis.values().tolist() if not 0.0 <= v <= hi
+                     for d in (0.0, 1.0))
+    assert grid.failures == expected
+    assert np.isfinite(grid.values).sum() == grid.values.size - len(expected)
 
 
 @pytest.mark.parametrize("scheme, axis1, axis2", [
